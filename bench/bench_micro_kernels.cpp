@@ -167,14 +167,22 @@ void BM_Reconstruction(benchmark::State& state) {
     p_cur[i] = z[i] + 0.37 * p_prev[i];
 
   const std::vector<rank_t> failed = contiguous_ranks(8, psi, nodes);
-  RedundantCopy prev(9, nodes), cur(10, nodes);
+  // Each entry held psi+1 ranks past its owner: a block of psi failures
+  // never takes an entry together with its copy.
+  std::vector<IndexSet> held(static_cast<std::size_t>(nodes));
+  std::vector<Vector> prev_values(held.size()), cur_values(held.size());
   for (index_t i = 0; i < a.rows(); ++i) {
-    const rank_t holder = (part.owner(i) + psi + 1) % nodes;
-    prev.record(holder, i, p_prev[static_cast<std::size_t>(i)]);
-    cur.record(holder, i, p_cur[static_cast<std::size_t>(i)]);
+    const auto holder =
+        static_cast<std::size_t>((part.owner(i) + psi + 1) % nodes);
+    held[holder].push_back(i);
+    prev_values[holder].push_back(p_prev[static_cast<std::size_t>(i)]);
+    cur_values[holder].push_back(p_cur[static_cast<std::size_t>(i)]);
   }
-  prev.finalize();
-  cur.finalize();
+  const auto layout = std::make_shared<const CopyLayout>(
+      std::move(held),
+      std::vector<std::size_t>(static_cast<std::size_t>(nodes), 0));
+  const RedundantCopy prev(9, layout, std::move(prev_values));
+  const RedundantCopy cur(10, layout, std::move(cur_values));
   DistVector x_star(part, x), r_star(part, r);
 
   for (auto _ : state) {

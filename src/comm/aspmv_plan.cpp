@@ -6,6 +6,40 @@
 
 namespace esrp {
 
+CopyLayout::CopyLayout(std::vector<IndexSet> held,
+                       std::vector<std::size_t> ghost_count)
+    : held_(std::move(held)), ghost_count_(std::move(ghost_count)) {
+  ESRP_CHECK(held_.size() == ghost_count_.size());
+  for (std::size_t h = 0; h < held_.size(); ++h) {
+    const std::span<const index_t> idx = held_[h];
+    ESRP_CHECK(ghost_count_[h] <= idx.size());
+    const auto ghosts = idx.first(ghost_count_[h]);
+    const auto augmented = idx.subspan(ghost_count_[h]);
+    // One receipt per holder per exchange: regular and augmented sends to
+    // one destination are disjoint, and no entry is sent twice to it.
+    ESRP_CHECK_MSG(is_index_set(ghosts) && is_index_set(augmented) &&
+                       set_intersection(ghosts, augmented).empty(),
+                   "holder " << h << " would receive an entry twice");
+  }
+}
+
+std::span<const index_t> CopyLayout::held(rank_t h) const {
+  ESRP_CHECK(h >= 0 && h < num_holders());
+  return held_[static_cast<std::size_t>(h)];
+}
+
+std::ptrdiff_t CopyLayout::find(rank_t h, index_t i) const {
+  const std::span<const index_t> idx = held(h);
+  const auto mid = idx.begin() + static_cast<std::ptrdiff_t>(
+                                     ghost_count_[static_cast<std::size_t>(h)]);
+  for (const auto& [lo, hi] :
+       {std::pair{idx.begin(), mid}, std::pair{mid, idx.end()}}) {
+    const auto it = std::lower_bound(lo, hi, i);
+    if (it != hi && *it == i) return it - idx.begin();
+  }
+  return -1;
+}
+
 rank_t designated_destination(rank_t s, int k, rank_t num_nodes) {
   ESRP_CHECK(num_nodes > 0);
   ESRP_CHECK(k >= 1);
@@ -100,6 +134,25 @@ AspmvPlan::AspmvPlan(const SpmvPlan& base, int phi, AspmvPlacement placement)
                    std::move(to_dest[static_cast<std::size_t>(k)])});
     }
   }
+
+  // Copy layout: each holder's ghosts, then the augmentation entries it
+  // receives. Senders are visited in ascending rank and own ascending index
+  // ranges, so appending their lists keeps the augmentation run sorted.
+  std::vector<IndexSet> held(static_cast<std::size_t>(n_nodes));
+  std::vector<std::size_t> ghost_count(static_cast<std::size_t>(n_nodes));
+  for (rank_t h = 0; h < n_nodes; ++h) {
+    held[static_cast<std::size_t>(h)] = base.ghosts(h);
+    ghost_count[static_cast<std::size_t>(h)] = base.ghosts(h).size();
+  }
+  for (auto& lists : extra_) {
+    for (SendList& sl : lists) {
+      IndexSet& dst = held[static_cast<std::size_t>(sl.to)];
+      sl.offset = dst.size();
+      dst.insert(dst.end(), sl.indices.begin(), sl.indices.end());
+    }
+  }
+  layout_ = std::make_shared<const CopyLayout>(std::move(held),
+                                               std::move(ghost_count));
 }
 
 const std::vector<SendList>& AspmvPlan::extra_sends(rank_t s) const {

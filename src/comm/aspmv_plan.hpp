@@ -21,11 +21,40 @@
 // property tests in tests/comm/.
 #pragma once
 
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "comm/spmv_plan.hpp"
 
 namespace esrp {
+
+/// Where the values of a RedundantCopy live: for each holder, the global
+/// indices of the off-owner entries it holds after an exchange, in plan
+/// order — a sorted ghost run (its SpMV halo receipts) followed by a sorted
+/// augmentation run. Immutable once built: an AspmvPlan and every copy
+/// captured through it share one instance, so copies outlive a
+/// repartition that replaces the plan.
+class CopyLayout {
+public:
+  /// `held[h]` is holder h's ghost run (its first `ghost_count[h]` entries)
+  /// followed by its augmentation run. Each run must be strictly increasing
+  /// and the runs disjoint: a holder receives an entry at most once per
+  /// exchange.
+  CopyLayout(std::vector<IndexSet> held, std::vector<std::size_t> ghost_count);
+
+  rank_t num_holders() const { return static_cast<rank_t>(held_.size()); }
+
+  /// Global indices held by `h`, in value order.
+  std::span<const index_t> held(rank_t h) const;
+
+  /// Position of entry i in held(h), or -1 if h does not hold it.
+  std::ptrdiff_t find(rank_t h, index_t i) const;
+
+private:
+  std::vector<IndexSet> held_;
+  std::vector<std::size_t> ghost_count_;
+};
 
 /// Paper Eq. 1: k-th designated destination of node s (k in 1..phi).
 rank_t designated_destination(rank_t s, int k, rank_t num_nodes);
@@ -72,12 +101,21 @@ public:
   /// Total extra entries transferred per ASpMV relative to the regular SpMV.
   std::uint64_t total_extra_entries() const;
 
+  /// Per-holder layout of the copies an ASpMV (or a dissemination) through
+  /// this plan captures: holder h keeps base().ghosts(h), then the
+  /// augmentation entries it receives. Every SendList offset of the base
+  /// plan and of extra_sends() points into it.
+  const std::shared_ptr<const CopyLayout>& copy_layout() const {
+    return layout_;
+  }
+
 private:
   const SpmvPlan* base_;
   int phi_;
   AspmvPlacement placement_;
   std::vector<std::vector<SendList>> extra_; // [s] -> per-destination lists
   std::vector<std::vector<rank_t>> dests_;   // [s] -> d_{s,1..phi}
+  std::shared_ptr<const CopyLayout> layout_;
 };
 
 } // namespace esrp

@@ -4,115 +4,119 @@
 #include <cstring>
 
 #include "common/error.hpp"
-#include "common/fnv.hpp"
 #include "netsim/failure.hpp"
 #include "parallel/parallel.hpp"
 
 namespace esrp {
 
-void RedundantCopy::record(rank_t holder, index_t i, real_t v) {
-  ESRP_CHECK(holder >= 0 &&
-             holder < static_cast<rank_t>(held_.size()));
-  held_[static_cast<std::size_t>(holder)].emplace_back(i, v);
-  finalized_ = false;
+namespace {
+
+BulkSeal seal_of(std::span<const real_t> values) {
+  return BulkHash().words(values.data(), values.size()).seal();
 }
 
-std::uint64_t RedundantCopy::holder_sum(rank_t holder) const {
-  const auto& entries = held_[static_cast<std::size_t>(holder)];
-  std::uint64_t h = kFnvOffset;
-  for (const auto& [i, v] : entries) {
-    h = fnv1a(&i, sizeof(i), h);
-    h = fnv1a(&v, sizeof(v), h);
-  }
-  return h;
+/// Per-holder value arrays sized by `layout`, zero-filled.
+std::vector<Vector> sized_values(const CopyLayout& layout) {
+  std::vector<Vector> values(static_cast<std::size_t>(layout.num_holders()));
+  for (rank_t h = 0; h < layout.num_holders(); ++h)
+    values[static_cast<std::size_t>(h)].resize(layout.held(h).size());
+  return values;
 }
 
-void RedundantCopy::finalize() {
-  for (auto& entries : held_) {
-    std::sort(entries.begin(), entries.end());
-    // The same holder may receive an entry only once per exchange: regular
-    // and augmented sends to one destination are disjoint by construction.
-    ESRP_CHECK(std::adjacent_find(entries.begin(), entries.end(),
-                                  [](const auto& a, const auto& b) {
-                                    return a.first == b.first;
-                                  }) == entries.end());
+/// Write the entries of `sl` contiguously from `dst`; `owned` is the
+/// sender's slice, starting at global index `lo`.
+void gather(const SendList& sl, std::span<const real_t> owned, index_t lo,
+            real_t* dst) {
+  for (std::size_t k = 0; k < sl.indices.size(); ++k)
+    dst[k] = owned[static_cast<std::size_t>(sl.indices[k] - lo)];
+}
+
+} // namespace
+
+RedundantCopy::RedundantCopy(index_t tag,
+                             std::shared_ptr<const CopyLayout> layout,
+                             std::vector<Vector> values)
+    : tag_(tag), layout_(std::move(layout)), values_(std::move(values)) {
+  ESRP_CHECK(layout_ != nullptr);
+  ESRP_CHECK(static_cast<rank_t>(values_.size()) == layout_->num_holders());
+  seals_.reserve(values_.size());
+  for (rank_t h = 0; h < layout_->num_holders(); ++h) {
+    const Vector& v = values_[static_cast<std::size_t>(h)];
+    ESRP_CHECK(v.size() == layout_->held(h).size());
+    seals_.push_back(seal_of(v));
   }
-  sums_.resize(held_.size());
-  for (rank_t h = 0; h < static_cast<rank_t>(held_.size()); ++h)
-    sums_[static_cast<std::size_t>(h)] = holder_sum(h);
-  finalized_ = true;
+}
+
+std::ptrdiff_t RedundantCopy::find(rank_t h, index_t i) const {
+  if (values_[static_cast<std::size_t>(h)].empty()) return -1;
+  return layout_->find(h, i);
 }
 
 bool RedundantCopy::verify(std::span<const rank_t> failed) const {
-  ESRP_CHECK(finalized_);
-  for (rank_t h = 0; h < static_cast<rank_t>(held_.size()); ++h) {
+  for (rank_t h = 0; h < static_cast<rank_t>(values_.size()); ++h) {
     if (rank_in(failed, h)) continue;
-    if (holder_sum(h) != sums_[static_cast<std::size_t>(h)]) return false;
+    if (seal_of(values_[static_cast<std::size_t>(h)]) !=
+        seals_[static_cast<std::size_t>(h)])
+      return false;
   }
   return true;
 }
 
 rank_t RedundantCopy::corrupt(index_t i, int bit) {
   ESRP_CHECK(bit >= 0 && bit < 64);
-  for (rank_t h = 0; h < static_cast<rank_t>(held_.size()); ++h) {
-    auto& entries = held_[static_cast<std::size_t>(h)];
-    for (auto& [idx, v] : entries) {
-      if (idx != i) continue;
-      std::uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(real_t));
-      std::memcpy(&bits, &v, sizeof(bits));
-      bits ^= (std::uint64_t{1} << bit);
-      std::memcpy(&v, &bits, sizeof(bits));
-      return h;
-    }
+  for (rank_t h = 0; h < static_cast<rank_t>(values_.size()); ++h) {
+    const std::ptrdiff_t pos = find(h, i);
+    if (pos < 0) continue;
+    real_t& v =
+        values_[static_cast<std::size_t>(h)][static_cast<std::size_t>(pos)];
+    std::uint64_t bits;
+    static_assert(sizeof(bits) == sizeof(real_t));
+    std::memcpy(&bits, &v, sizeof(bits));
+    bits ^= (std::uint64_t{1} << bit);
+    std::memcpy(&v, &bits, sizeof(bits));
+    return h;
   }
   return -1;
 }
 
 std::vector<std::pair<index_t, real_t>> RedundantCopy::held_in(
     rank_t holder, std::span<const index_t> wanted) const {
-  ESRP_CHECK(finalized_);
-  ESRP_CHECK(holder >= 0 && holder < static_cast<rank_t>(held_.size()));
-  const auto& entries = held_[static_cast<std::size_t>(holder)];
+  ESRP_CHECK(holder >= 0 && holder < static_cast<rank_t>(values_.size()));
+  const Vector& values = values_[static_cast<std::size_t>(holder)];
   std::vector<std::pair<index_t, real_t>> out;
   for (index_t i : wanted) {
-    const auto it = std::lower_bound(
-        entries.begin(), entries.end(), std::make_pair(i, real_t{0}),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    if (it != entries.end() && it->first == i) out.push_back(*it);
+    const std::ptrdiff_t pos = find(holder, i);
+    if (pos >= 0) out.emplace_back(i, values[static_cast<std::size_t>(pos)]);
   }
   return out;
 }
 
 std::optional<std::pair<rank_t, real_t>> RedundantCopy::find_surviving(
     index_t i, std::span<const rank_t> failed) const {
-  ESRP_CHECK(finalized_);
-  for (rank_t h = 0; h < static_cast<rank_t>(held_.size()); ++h) {
+  for (rank_t h = 0; h < static_cast<rank_t>(values_.size()); ++h) {
     if (rank_in(failed, h)) continue;
-    const auto& entries = held_[static_cast<std::size_t>(h)];
-    const auto it = std::lower_bound(
-        entries.begin(), entries.end(), std::make_pair(i, real_t{0}),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    if (it != entries.end() && it->first == i) return std::make_pair(h, it->second);
+    const std::ptrdiff_t pos = find(h, i);
+    if (pos >= 0)
+      return std::make_pair(h, values_[static_cast<std::size_t>(h)]
+                                      [static_cast<std::size_t>(pos)]);
   }
   return std::nullopt;
 }
 
 std::size_t RedundantCopy::total_entries() const {
   std::size_t n = 0;
-  for (const auto& e : held_) n += e.size();
+  for (const Vector& v : values_) n += v.size();
   return n;
 }
 
 void RedundantCopy::drop_holders(std::span<const rank_t> ranks) {
   for (rank_t s : ranks) {
-    ESRP_CHECK(s >= 0 && s < static_cast<rank_t>(held_.size()));
-    held_[static_cast<std::size_t>(s)].clear();
-    // Re-seal the emptied list: dropping a holder is a legitimate mutation
+    ESRP_CHECK(s >= 0 && s < static_cast<rank_t>(values_.size()));
+    Vector().swap(values_[static_cast<std::size_t>(s)]);
+    // Re-seal the emptied holder: dropping a holder is a legitimate mutation
     // (the node died, its copies with it), so a later verify() against a
     // different failed set must not misread it as corruption.
-    if (finalized_ && s < static_cast<rank_t>(sums_.size()))
-      sums_[static_cast<std::size_t>(s)] = kFnvOffset;
+    seals_[static_cast<std::size_t>(s)] = seal_of({});
   }
 }
 
@@ -121,53 +125,49 @@ ExchangeEngine::ExchangeEngine(const CsrMatrix& a, const SpmvPlan& plan,
     : a_(&a), plan_(&plan), cluster_(&cluster) {
   const BlockRowPartition& part = plan.partition();
   ESRP_CHECK(&part == &cluster.partition());
-  scratch_.assign(static_cast<std::size_t>(part.num_nodes()),
-                  Vector(static_cast<std::size_t>(part.global_size()), 0));
+  local_begin_.resize(static_cast<std::size_t>(part.num_nodes()) + 1, 0);
+  for (rank_t l = 0; l < part.num_nodes(); ++l)
+    local_begin_[static_cast<std::size_t>(l) + 1] =
+        local_begin_[static_cast<std::size_t>(l)] + plan.local_size(l);
+  local_.resize(local_begin_.back());
 }
 
-void ExchangeEngine::scatter_owned(const DistVector& p) {
-  const BlockRowPartition& part = plan_->partition();
-  for (rank_t s = 0; s < part.num_nodes(); ++s) {
-    const auto slice = p.local(s);
-    std::copy(slice.begin(), slice.end(),
-              scratch_[static_cast<std::size_t>(s)].begin() +
-                  static_cast<std::ptrdiff_t>(part.begin(s)));
-  }
+std::span<real_t> ExchangeEngine::local(rank_t l) {
+  const auto b = local_begin_[static_cast<std::size_t>(l)];
+  return {local_.data() + b, local_begin_[static_cast<std::size_t>(l) + 1] - b};
 }
 
-void ExchangeEngine::halo_exchange(const DistVector& p, RedundantCopy* capture) {
+void ExchangeEngine::charge(rank_t s, const SendList& sl, CommCategory cat) {
+  cluster_->send(s, sl.to, sl.indices.size() * CostParams::bytes_per_scalar,
+                 cat);
+}
+
+void ExchangeEngine::halo_exchange(const DistVector& p) {
   const BlockRowPartition& part = plan_->partition();
   for (rank_t s = 0; s < part.num_nodes(); ++s) {
     const auto owned = p.local(s);
     const index_t lo = part.begin(s);
+    std::copy(owned.begin(), owned.end(), local(s).begin());
     for (const SendList& sl : plan_->sends(s)) {
-      cluster_->send(s, sl.to,
-                     sl.indices.size() * CostParams::bytes_per_scalar,
-                     CommCategory::spmv_halo);
-      Vector& dst = scratch_[static_cast<std::size_t>(sl.to)];
-      for (index_t i : sl.indices) {
-        const real_t v = owned[static_cast<std::size_t>(i - lo)];
-        dst[static_cast<std::size_t>(i)] = v;
-        if (capture) capture->record(sl.to, i, v);
-      }
+      charge(s, sl, CommCategory::spmv_halo);
+      gather(sl, owned, lo,
+             local(sl.to).data() + part.local_size(sl.to) + sl.offset);
     }
   }
 }
 
 void ExchangeEngine::local_products(DistVector& y) {
   // Each node's product writes only its own slice of y and reads its own
-  // scratch vector, so nodes parallelize freely (the halo exchange that
-  // filled scratch_ already completed). spmv_rows is called directly: the
-  // node slice is the unit of work, no nested row chunking.
+  // local buffer, so nodes parallelize freely (the halo exchange that
+  // filled the buffers already completed). The node slice is the unit of
+  // work, no nested row chunking.
   const BlockRowPartition& part = plan_->partition();
   const auto nodes = static_cast<index_t>(part.num_nodes());
   parallel_for(index_t{0}, nodes, adaptive_grain(nodes),
                [&](index_t lo, index_t hi) {
                  for (index_t i = lo; i < hi; ++i) {
                    const auto s = static_cast<rank_t>(i);
-                   a_->spmv_rows(part.begin(s), part.end(s),
-                                 scratch_[static_cast<std::size_t>(i)],
-                                 y.local(s));
+                   plan_->local_spmv(*a_, s, local(s), y.local(s));
                    cluster_->add_compute(
                        s, 2.0 * static_cast<double>(plan_->local_nnz(s)));
                  }
@@ -176,8 +176,7 @@ void ExchangeEngine::local_products(DistVector& y) {
 
 void ExchangeEngine::spmv(const DistVector& p, DistVector& y,
                           bool complete_step) {
-  scatter_owned(p);
-  halo_exchange(p, nullptr);
+  halo_exchange(p);
   local_products(y);
   if (complete_step) cluster_->complete_step();
 }
@@ -186,61 +185,55 @@ RedundantCopy ExchangeEngine::aspmv(const AspmvPlan& aug, const DistVector& p,
                                     index_t tag, DistVector& y) {
   const BlockRowPartition& part = plan_->partition();
   ESRP_CHECK(&aug.base() == plan_);
-  RedundantCopy copy(tag, part.num_nodes());
+  halo_exchange(p);
 
-  scatter_owned(p);
-  halo_exchange(p, &copy);
-
-  // Augmentation traffic: pure redundancy, never read by the local products.
+  // Capture: every holder's ghost buffer is the head of its copy ...
+  const CopyLayout& layout = *aug.copy_layout();
+  std::vector<Vector> values(static_cast<std::size_t>(part.num_nodes()));
+  for (rank_t h = 0; h < part.num_nodes(); ++h) {
+    const auto ghosts =
+        local(h).subspan(static_cast<std::size_t>(part.local_size(h)));
+    Vector& held = values[static_cast<std::size_t>(h)];
+    held.reserve(layout.held(h).size());
+    held.assign(ghosts.begin(), ghosts.end());
+    held.resize(layout.held(h).size());
+  }
+  // ... and the augmentation traffic — pure redundancy, never read by the
+  // local products — fills the tail.
   for (rank_t s = 0; s < part.num_nodes(); ++s) {
     const auto owned = p.local(s);
-    const index_t lo = part.begin(s);
     for (const SendList& sl : aug.extra_sends(s)) {
-      cluster_->send(s, sl.to,
-                     sl.indices.size() * CostParams::bytes_per_scalar,
-                     CommCategory::aspmv_extra);
-      for (index_t i : sl.indices)
-        copy.record(sl.to, i, owned[static_cast<std::size_t>(i - lo)]);
+      charge(s, sl, CommCategory::aspmv_extra);
+      gather(sl, owned, part.begin(s),
+             values[static_cast<std::size_t>(sl.to)].data() + sl.offset);
     }
   }
 
   local_products(y);
   cluster_->complete_step();
-  copy.finalize();
-  return copy;
+  return RedundantCopy(tag, aug.copy_layout(), std::move(values));
 }
 
 RedundantCopy ExchangeEngine::disseminate(const AspmvPlan& aug,
                                           const DistVector& p, index_t tag) {
   const BlockRowPartition& part = plan_->partition();
   ESRP_CHECK(&aug.base() == plan_);
-  RedundantCopy copy(tag, part.num_nodes());
-
+  std::vector<Vector> values = sized_values(*aug.copy_layout());
   for (rank_t s = 0; s < part.num_nodes(); ++s) {
     const auto owned = p.local(s);
-    const index_t lo = part.begin(s);
     // Halo-list receivers first, then the augmentation top-up — the same
-    // coverage an aspmv() capture records, but every send is a dedicated
+    // layout an aspmv() capture fills, but every send is a dedicated
     // redundancy message here.
-    for (const SendList& sl : plan_->sends(s)) {
-      cluster_->send(s, sl.to,
-                     sl.indices.size() * CostParams::bytes_per_scalar,
-                     CommCategory::aspmv_extra);
-      for (index_t i : sl.indices)
-        copy.record(sl.to, i, owned[static_cast<std::size_t>(i - lo)]);
-    }
-    for (const SendList& sl : aug.extra_sends(s)) {
-      cluster_->send(s, sl.to,
-                     sl.indices.size() * CostParams::bytes_per_scalar,
-                     CommCategory::aspmv_extra);
-      for (index_t i : sl.indices)
-        copy.record(sl.to, i, owned[static_cast<std::size_t>(i - lo)]);
+    for (const auto* lists : {&plan_->sends(s), &aug.extra_sends(s)}) {
+      for (const SendList& sl : *lists) {
+        charge(s, sl, CommCategory::aspmv_extra);
+        gather(sl, owned, part.begin(s),
+               values[static_cast<std::size_t>(sl.to)].data() + sl.offset);
+      }
     }
   }
-
   cluster_->complete_step();
-  copy.finalize();
-  return copy;
+  return RedundantCopy(tag, aug.copy_layout(), std::move(values));
 }
 
 } // namespace esrp

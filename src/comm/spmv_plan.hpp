@@ -5,8 +5,17 @@
 // precomputes, for every ordered node pair (s, l), the set I_{s,l} of indices
 // owned by s that l needs (paper §2.2). The plan is static: it depends only
 // on the sparsity pattern and the partition, and is built once per solve.
+//
+// It also fixes the standard distributed-CSR local numbering: node l works
+// on a compact buffer [owned | ghosts] of local_size(l) entries — its own
+// slice of p followed by its sorted ghosts(l) — and every nonzero of l's rows
+// carries a local column id into that buffer. Because owners hold contiguous
+// index ranges, each I_{s,l} is one contiguous run of ghosts(l), so the halo
+// exchange writes each transfer list at a fixed offset.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -20,6 +29,11 @@ namespace esrp {
 struct SendList {
   rank_t to = -1;
   IndexSet indices; ///< global indices owned by the sender
+  /// Position of indices[0] in the receiver's plan-ordered held entries:
+  /// within its sorted ghosts for an SpMV halo list, within its
+  /// RedundantCopy values (ghosts, then augmentation receipts) for an ASpMV
+  /// augmentation list. The entries of a list land contiguously from there.
+  std::size_t offset = 0;
 };
 
 class SpmvPlan {
@@ -37,6 +51,16 @@ public:
 
   /// All ghost indices node l receives (union over senders), sorted.
   const IndexSet& ghosts(rank_t l) const;
+
+  /// Entries of node l's compact [owned | ghosts] buffer.
+  std::size_t local_size(rank_t l) const;
+
+  /// y := A[rows of l, :] p, reading p from node l's compact buffer
+  /// `local` (local_size(l) entries). Each row accumulates its nonzeros in
+  /// the same order as CsrMatrix::spmv_rows, so the result is bitwise equal
+  /// to the global-numbered product. `a` must be the plan's matrix.
+  void local_spmv(const CsrMatrix& a, rank_t l, std::span<const real_t> local,
+                  std::span<real_t> y) const;
 
   /// m(i): number of *other* nodes the regular SpMV sends entry i to.
   int multiplicity(index_t i) const;
@@ -56,6 +80,9 @@ private:
   const BlockRowPartition* part_;
   std::vector<std::vector<SendList>> sends_;   // [s] -> lists
   std::vector<IndexSet> ghosts_;               // [l] -> ghost indices
+  /// [nnz] -> local column id, parallel to the matrix's col_idx(): row i's
+  /// entries index the buffer of owner(i).
+  std::vector<local_index_t> local_cols_;
   std::vector<int> multiplicity_;              // [i]
   std::vector<index_t> local_nnz_;             // [s]
   IndexSet empty_;

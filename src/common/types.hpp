@@ -17,4 +17,9 @@ using index_t = std::int64_t;
 /// Rank of a node in the (simulated) cluster.
 using rank_t = std::int32_t;
 
+/// Column id into one node's compact [owned | ghosts] buffer, the
+/// distributed-CSR local numbering of comm/spmv_plan.hpp. 32 bits: a node's
+/// buffer is far below 2^31 entries, and the ids are stored per nonzero.
+using local_index_t = std::int32_t;
+
 } // namespace esrp

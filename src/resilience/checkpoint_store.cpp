@@ -4,7 +4,6 @@
 
 #include "comm/aspmv_plan.hpp"
 #include "common/error.hpp"
-#include "common/fnv.hpp"
 
 namespace esrp {
 
@@ -19,16 +18,39 @@ CheckpointStore::CheckpointStore(const BlockRowPartition& part, int phi,
   scalars_.assign(num_scalars, 0);
 }
 
+namespace {
+
+/// The checkpoint seal: the tag, every slice of every vector (vector-major,
+/// rank order), then the scalars. `fold_slice(h, k, s)` folds vector k's
+/// slice on rank s into h.
+template <class FoldSlice>
+BulkSeal seal_content(index_t tag, std::size_t num_vectors, rank_t num_nodes,
+                      std::span<const real_t> scalars, FoldSlice fold_slice) {
+  BulkHash h;
+  h.value(tag);
+  for (std::size_t k = 0; k < num_vectors; ++k)
+    for (rank_t s = 0; s < num_nodes; ++s) fold_slice(h, k, s);
+  h.words(scalars.data(), scalars.size());
+  return h.seal();
+}
+
+} // namespace
+
 void CheckpointStore::store(index_t iteration, const SolverState& state,
                             SimCluster& cluster) {
   ESRP_CHECK(state.vectors.size() == vecs_.size());
   ESRP_CHECK(state.scalars.size() == num_scalars_);
   tag_ = iteration;
-  for (std::size_t k = 0; k < vecs_.size(); ++k)
-    vecs_[k].copy_from(*state.vectors[k]);
   for (std::size_t k = 0; k < num_scalars_; ++k)
     scalars_[k] = *state.scalars[k];
-  sum_ = content_sum();
+  // Copy the vectors and seal them in the same pass.
+  sum_ = seal_content(tag_, vecs_.size(), part_->num_nodes(), scalars_,
+                      [&](BulkHash& h, std::size_t k, rank_t s) {
+                        const auto src = state.vectors[k]->local(s);
+                        const auto dst = vecs_[k].local(s);
+                        ESRP_CHECK(src.size() == dst.size());
+                        h.copy_words(dst.data(), src.data(), src.size());
+                      });
 
   const rank_t n_nodes = part_->num_nodes();
   for (rank_t s = 0; s < n_nodes; ++s) {
@@ -44,16 +66,12 @@ void CheckpointStore::store(index_t iteration, const SolverState& state,
   cluster.complete_step();
 }
 
-std::uint64_t CheckpointStore::content_sum() const {
-  std::uint64_t h = fnv1a(&tag_, sizeof(tag_));
-  for (const DistVector& vec : vecs_) {
-    for (rank_t s = 0; s < part_->num_nodes(); ++s) {
-      const auto slice = vec.local(s);
-      h = fnv1a(slice.data(), slice.size_bytes(), h);
-    }
-  }
-  h = fnv1a(scalars_.data(), scalars_.size() * sizeof(real_t), h);
-  return h;
+BulkSeal CheckpointStore::content_sum() const {
+  return seal_content(tag_, vecs_.size(), part_->num_nodes(), scalars_,
+                      [&](BulkHash& h, std::size_t k, rank_t s) {
+                        const auto slice = vecs_[k].local(s);
+                        h.words(slice.data(), slice.size());
+                      });
 }
 
 bool CheckpointStore::verify() const {

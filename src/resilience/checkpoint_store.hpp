@@ -19,6 +19,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/types.hpp"
 #include "netsim/cluster.hpp"
 #include "netsim/dist_vector.hpp"
@@ -39,10 +40,10 @@ public:
   bool has_checkpoint() const { return tag_ >= 0; }
   index_t tag() const { return tag_; }
 
-  /// Capture `state` as checkpoint `iteration`, seal it with an FNV-1a
-  /// content checksum, and charge the buddy messages on `cluster`
-  /// (category checkpoint): per node, phi messages of
-  /// (num_vectors * local + num_scalars) scalars.
+  /// Capture `state` as checkpoint `iteration`, seal it with a word-wise
+  /// content hash (BulkHash over the tag, every slice and the scalars), and
+  /// charge the buddy messages on `cluster` (category checkpoint): per
+  /// node, phi messages of (num_vectors * local + num_scalars) scalars.
   void store(index_t iteration, const SolverState& state, SimCluster& cluster);
 
   /// Recompute the content checksum and compare against the seal taken at
@@ -71,7 +72,7 @@ public:
                SimCluster& cluster) const;
 
 private:
-  std::uint64_t content_sum() const;
+  BulkSeal content_sum() const;
 
   const BlockRowPartition* part_;
   int phi_;
@@ -79,7 +80,7 @@ private:
   index_t tag_ = -1;
   std::vector<DistVector> vecs_;
   std::vector<real_t> scalars_;
-  std::uint64_t sum_ = 0; ///< FNV-1a seal taken at store()
+  BulkSeal sum_; ///< seal taken at store()
 };
 
 } // namespace esrp

@@ -92,6 +92,16 @@ public:
   void spmv_rows(index_t row_begin, index_t row_end, std::span<const real_t> x,
                  std::span<real_t> y) const;
 
+  /// spmv_rows reading x through a column renumbering: `local_cols` is
+  /// parallel to col_idx() and maps every nonzero to an entry of `x_local`
+  /// (a node's compact buffer, comm/spmv_plan.hpp). Each row accumulates in
+  /// the same nnz order as spmv_rows, so with x_local[local_cols[k]] ==
+  /// x[col_idx[k]] the result is bitwise identical.
+  void spmv_rows_local(index_t row_begin, index_t row_end,
+                       std::span<const local_index_t> local_cols,
+                       std::span<const real_t> x_local,
+                       std::span<real_t> y) const;
+
   /// Flop count of one full SpMV (2 * nnz), for the cost model.
   index_t spmv_flops() const { return 2 * nnz(); }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -45,20 +47,31 @@ CsrMatrix read_matrix_market(std::istream& in) {
     if (!line.empty() && line[0] != '%') break;
   }
   std::istringstream sizes(line);
-  index_t rows = 0, cols = 0;
-  std::size_t entries = 0;
+  index_t rows = 0, cols = 0, entries = 0;
   sizes >> rows >> cols >> entries;
-  ESRP_CHECK_MSG(rows > 0 && cols > 0, "invalid size line: " << line);
+  ESRP_CHECK_MSG(!sizes.fail() && rows > 0 && cols > 0 && entries >= 0,
+                 "invalid size line: " << line);
+  // A coordinate file lists each position at most once; a larger count is
+  // corrupt and must not size anything.
+  ESRP_CHECK_MSG(entries == 0 || (entries - 1) / cols < rows,
+                 "entry count " << entries << " exceeds " << rows << " x "
+                                << cols << " positions");
 
   CooBuilder builder(rows, cols);
-  std::size_t seen = 0;
+  index_t seen = 0;
   while (seen < entries && std::getline(in, line)) {
     if (line.empty() || line[0] == '%') continue;
     std::istringstream entry(line);
     index_t i = 0, j = 0;
-    real_t v = 0;
-    entry >> i >> j >> v;
+    std::string value;
+    entry >> i >> j >> value;
     ESRP_CHECK_MSG(!entry.fail(), "malformed entry line: " << line);
+    char* end = nullptr;
+    const real_t v = std::strtod(value.c_str(), &end);
+    ESRP_CHECK_MSG(end != value.c_str() && *end == '\0',
+                   "malformed entry line: " << line);
+    ESRP_CHECK_MSG(std::isfinite(v),
+                   "non-finite value in entry line: " << line);
     if (sym == "symmetric")
       builder.add_sym(i - 1, j - 1, v);
     else

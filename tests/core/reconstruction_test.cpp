@@ -48,11 +48,18 @@ SyntheticState make_state(const CsrMatrix& a, const Preconditioner& precond,
 /// node in the tests).
 RedundantCopy full_copy(index_t tag, rank_t num_nodes, rank_t holder,
                         std::span<const real_t> values) {
-  RedundantCopy c(tag, num_nodes);
-  for (std::size_t i = 0; i < values.size(); ++i)
-    c.record(holder, static_cast<index_t>(i), values[i]);
-  c.finalize();
-  return c;
+  const auto n = static_cast<std::size_t>(num_nodes);
+  std::vector<IndexSet> held(n);
+  held[static_cast<std::size_t>(holder)] =
+      index_range(0, static_cast<index_t>(values.size()));
+  std::vector<Vector> held_values(n);
+  held_values[static_cast<std::size_t>(holder)].assign(values.begin(),
+                                                       values.end());
+  return RedundantCopy(
+      tag,
+      std::make_shared<const CopyLayout>(std::move(held),
+                                         std::vector<std::size_t>(n, 0)),
+      std::move(held_values));
 }
 
 class ReconstructionFixture : public ::testing::Test {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "sparse/generators.hpp"
 
 namespace esrp {
 namespace {
@@ -14,15 +15,20 @@ namespace {
 constexpr rank_t kNodes = 6;
 constexpr index_t kRows = 24;
 
+/// A real capture: a phi=1 ASpMV of the constant vector `value` with the
+/// 1D Laplacian over kNodes nodes — every entry has one off-owner copy,
+/// enough structure for queue bookkeeping tests (the engine never reads the
+/// entries itself).
 RedundantCopy make_copy(index_t tag, real_t value = 1.0) {
-  // Every entry held by the owner's ring neighbor — enough structure for
-  // queue bookkeeping tests (the engine never reads the entries itself).
-  RedundantCopy copy(tag, kNodes);
-  for (index_t i = 0; i < kRows; ++i)
-    copy.record((static_cast<rank_t>(i / (kRows / kNodes)) + 1) % kNodes, i,
-                value);
-  copy.finalize();
-  return copy;
+  const CsrMatrix a = laplace1d(kRows);
+  const BlockRowPartition part(kRows, kNodes);
+  SimCluster cluster(part);
+  const SpmvPlan plan(a, part);
+  const AspmvPlan aug(plan, 1);
+  ExchangeEngine engine(a, plan, cluster);
+  DistVector p(part), y(part);
+  p.set_from_global(Vector(kRows, value));
+  return engine.aspmv(aug, p, tag, y);
 }
 
 /// A stub solver: one state vector + one scalar, hooks that count calls.

@@ -1,4 +1,4 @@
-// Integrity-checked redundant state: FNV-1a seals on redundancy-queue
+// Integrity-checked redundant state: word-wise seals on redundancy-queue
 // copies and IMCR checkpoints, byte-flip injection through the SdcEvent
 // "pcopy" / "checkpoint" targets, and the recovery ladder's
 // detect-demote-record behavior when corrupted state would otherwise be
@@ -13,6 +13,7 @@
 #include "common/error.hpp"
 #include "resilience/checkpoint_store.hpp"
 #include "resilience/engine.hpp"
+#include "sparse/generators.hpp"
 
 namespace esrp {
 namespace {
@@ -20,13 +21,18 @@ namespace {
 constexpr rank_t kNodes = 6;
 constexpr index_t kRows = 24;
 
+/// A real capture: a phi=1 ASpMV of the constant vector `value` with the
+/// 1D Laplacian over kNodes nodes, so every entry has one off-owner copy.
 RedundantCopy make_copy(index_t tag, real_t value = 1.0) {
-  RedundantCopy copy(tag, kNodes);
-  for (index_t i = 0; i < kRows; ++i)
-    copy.record((static_cast<rank_t>(i / (kRows / kNodes)) + 1) % kNodes, i,
-                value);
-  copy.finalize();
-  return copy;
+  const CsrMatrix a = laplace1d(kRows);
+  const BlockRowPartition part(kRows, kNodes);
+  SimCluster cluster(part);
+  const SpmvPlan plan(a, part);
+  const AspmvPlan aug(plan, 1);
+  ExchangeEngine engine(a, plan, cluster);
+  DistVector p(part), y(part);
+  p.set_from_global(Vector(kRows, value));
+  return engine.aspmv(aug, p, tag, y);
 }
 
 // ------------------------------------------------------------ components --

@@ -8,11 +8,17 @@
 namespace esrp {
 namespace {
 
+/// Entry 0 held by rank 1 of 4 nodes, valued `tag`.
 RedundantCopy make_copy(index_t tag) {
-  RedundantCopy c(tag, /*num_nodes=*/4);
-  c.record(1, 0, static_cast<real_t>(tag));
-  c.finalize();
-  return c;
+  std::vector<IndexSet> held(4);
+  held[1] = {0};
+  std::vector<Vector> values(4);
+  values[1] = {static_cast<real_t>(tag)};
+  return RedundantCopy(
+      tag,
+      std::make_shared<const CopyLayout>(std::move(held),
+                                         std::vector<std::size_t>(4, 0)),
+      std::move(values));
 }
 
 TEST(RedundancyQueue, StartsEmpty) {

@@ -59,6 +59,48 @@ TEST(MatrixMarket, RejectsTruncatedEntries) {
   EXPECT_THROW(read_matrix_market(in), Error);
 }
 
+TEST(MatrixMarket, RejectsUnparsableSizeLine) {
+  for (const char* size_line : {"2 2 x\n", "2 2\n", "2 x 1\n", "2 2 -1\n"}) {
+    std::istringstream in(std::string("%%MatrixMarket matrix coordinate real "
+                                      "general\n") +
+                          size_line + "1 1 1.0\n");
+    EXPECT_THROW(read_matrix_market(in), Error) << size_line;
+  }
+}
+
+TEST(MatrixMarket, RejectsEntryCountAboveDimensions) {
+  // 2 x 3 has six positions; a seventh entry cannot exist.
+  std::istringstream in(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "2 3 7\n"
+      "1 1 1.0\n");
+  EXPECT_THROW(read_matrix_market(in), Error);
+  // A count near the index range is refused before anything is sized.
+  std::istringstream huge(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "4 4 9223372036854775807\n"
+      "1 1 1.0\n");
+  EXPECT_THROW(read_matrix_market(huge), Error);
+}
+
+TEST(MatrixMarket, RejectsNonFiniteValues) {
+  for (const char* value : {"nan", "inf", "-inf", "1e400"}) {
+    std::istringstream in(
+        std::string("%%MatrixMarket matrix coordinate real general\n"
+                    "2 2 2\n"
+                    "1 1 1.0\n"
+                    "2 2 ") +
+        value + "\n");
+    try {
+      read_matrix_market(in);
+      ADD_FAILURE() << value << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("non-finite"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(MatrixMarket, RoundTripPreservesMatrix) {
   const CsrMatrix a = banded_spd(25, 4, 0.5, /*seed=*/77);
   std::ostringstream out;
