@@ -25,6 +25,7 @@
 #include "precond/block_jacobi.hpp"
 #include "precond/jacobi.hpp"
 #include "solver/pcg.hpp"
+#include "sparse/coo.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/sell.hpp"
 #include "xp/experiment.hpp"
@@ -133,6 +134,53 @@ void BM_BlockJacobiApply(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BlockJacobiApply)->Arg(1)->Arg(10)->Arg(64);
+
+/// The esrp-recover/imcr-recover problem: emilia_like 32^3 (32,768 rows).
+const CsrMatrix& emilia32_matrix() {
+  static const CsrMatrix a = emilia_like(32, 32, 32).matrix;
+  return a;
+}
+
+/// Cold block-Jacobi factorization as a distributed prepare runs it:
+/// 128 node-aligned ranges, blocks of at most 10 rows.
+void BM_BlockJacobiBuild(benchmark::State& state) {
+  const CsrMatrix& a = emilia32_matrix();
+  const BlockRowPartition part(a.rows(), 128);
+  for (auto _ : state) {
+    const BlockJacobiPreconditioner precond(a, part, 10);
+    benchmark::DoNotOptimize(precond.action_matrix());
+  }
+  state.SetItemsProcessed(state.iterations() * a.rows());
+}
+BENCHMARK(BM_BlockJacobiBuild)->Unit(benchmark::kMillisecond);
+
+/// CooBuilder::to_csr on the triplet stream of an edge-based assembly of
+/// emilia_like 32^3 (what the generator produces): per off-diagonal pair
+/// two diagonal and two off-diagonal triplets, then a diagonal shift —
+/// about two triplets per stored entry, many of them duplicates.
+void BM_CooToCsr(benchmark::State& state) {
+  const CsrMatrix& a = emilia32_matrix();
+  CooBuilder b(a.rows(), a.cols());
+  for (index_t i = 0; i < a.rows(); ++i) {
+    const auto cols = a.row_cols(i);
+    const auto vals = a.row_vals(i);
+    for (std::size_t k = 0; k < cols.size(); ++k) {
+      if (cols[k] <= i) continue;
+      b.add(i, i, -vals[k]);
+      b.add(cols[k], cols[k], -vals[k]);
+      b.add(i, cols[k], vals[k]);
+      b.add(cols[k], i, vals[k]);
+    }
+  }
+  for (index_t i = 0; i < a.rows(); ++i) b.add(i, i, 1);
+  for (auto _ : state) {
+    const CsrMatrix m = b.to_csr();
+    benchmark::DoNotOptimize(m.values().data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(b.triplet_count()));
+}
+BENCHMARK(BM_CooToCsr)->Unit(benchmark::kMillisecond);
 
 void BM_CheckpointStore(benchmark::State& state) {
   const CsrMatrix& a = test_matrix();

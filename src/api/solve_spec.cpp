@@ -162,23 +162,29 @@ void validate_spec(const SolveSpec& spec) {
             valid + ")");
   }
 
-#ifndef NDEBUG
-  // Liveness tripwire for the borrowed-span footgun: owned RunSpec storage
-  // is NaN-poisoned on destruction, so a spec whose rhs/x0 span outlived
-  // its owner fails here instead of corrupting the solve.
-  for (const real_t v : spec.rhs) {
-    if (std::isnan(v))
-      invalid("rhs contains NaN — if the data was owned via take_rhs, its "
-              "RunSpec has likely been destroyed (see the lifetime note in "
-              "api/solve_spec.hpp)");
-  }
-  for (const real_t v : spec.x0) {
-    if (std::isnan(v))
-      invalid("x0 contains NaN — if the data was owned via take_x0, its "
-              "RunSpec has likely been destroyed (see the lifetime note in "
-              "api/solve_spec.hpp)");
-  }
-#endif
+  // Non-finite guard, in every build type: the solvers' kernels (SELL and
+  // block-Jacobi panel padding) are bitwise-neutral only for finite
+  // operands, and a NaN/Inf input can only yield a NaN solve. Debug builds
+  // also NaN-poison destroyed RunSpec storage, so a dangling rhs/x0 span
+  // lands here too — hence the lifetime hint.
+  const auto check_finite = [](std::span<const real_t> v,
+                               const std::string& what, const char* hint) {
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (!std::isfinite(v[i]))
+        invalid(what + "[" + std::to_string(i) + "] is " +
+                (std::isnan(v[i]) ? "NaN" : "infinite") +
+                " — inputs must be finite" + hint);
+    }
+  };
+  check_finite(spec.rhs, "rhs",
+               " (if the data was owned via take_rhs, its RunSpec has likely "
+               "been destroyed; see the lifetime note in api/solve_spec.hpp)");
+  check_finite(spec.x0, "x0",
+               " (if the data was owned via take_x0, its RunSpec has likely "
+               "been destroyed; see the lifetime note in api/solve_spec.hpp)");
+  for (std::size_t i = 0; i < spec.rhs_batch.size(); ++i)
+    check_finite(spec.rhs_batch[i], "rhs_batch[" + std::to_string(i) + "]",
+                 "");
 
   if (!spec.rhs_batch.empty()) {
     if (!solver.supports_batched_rhs)

@@ -123,7 +123,8 @@ struct SolverConfig {
 /// copies, moves, and asynchronous sessions, re-pointing the spans into the
 /// copy's own buffer. Debug builds poison owned storage with NaN on
 /// destruction, so a span that outlived its owner is caught by
-/// validate_spec's NaN scan instead of silently dereferencing freed memory.
+/// validate_spec's finite-input check instead of silently dereferencing
+/// freed memory.
 struct RunSpec {
   /// Right-hand side; empty = the deterministic pseudo-random
   /// xp::make_rhs(a) every experiment uses. Borrowed unless take_rhs
@@ -260,8 +261,9 @@ public:
 /// Check every invariant of a spec that can be checked without building the
 /// problem: key existence in all three registries (with "did you mean"
 /// suggestions), positive tolerances/intervals/sizes, phi vs nodes, a
-/// well-formed failure schedule, and — in debug builds — a NaN scan of
-/// rhs/x0 that catches spans whose owning RunSpec has been destroyed.
+/// well-formed failure schedule, and finite rhs/x0/rhs_batch entries (the
+/// error names the vector and index; in debug builds this also catches
+/// NaN-poisoned spans whose owning RunSpec has been destroyed).
 /// Throws esrp::Error; solve() calls this first.
 void validate_spec(const SolveSpec& spec);
 

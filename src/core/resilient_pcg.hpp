@@ -147,9 +147,9 @@ private:
   /// {x, r, z, p}, scratch {ap}, scalars {beta}.
   SolverState solver_state();
 
-  /// Rebuild plans, engine, preconditioner blocks and state vectors on the
-  /// repartitioned cluster (no-spare / shrink recovery; the resilience
-  /// engine migrates its own snapshots around this hook).
+  /// Rebuild plans, engine and state vectors on the repartitioned cluster
+  /// (no-spare / shrink recovery; the resilience engine migrates its own
+  /// snapshots around this hook).
   void repartition(std::span<const rank_t> failed);
 
   /// Rejoin hook: re-expand onto the construction-time partition — retired
@@ -171,8 +171,6 @@ private:
                         std::span<const rank_t> failed,
                         std::span<const real_t> b, RecoveryRecord& record);
 
-  void build_precond_blocks();
-
   const CsrMatrix* a_;
   const Preconditioner* precond_;
   SimCluster* cluster_;
@@ -190,7 +188,6 @@ private:
   const AspmvPlan* aug_ = nullptr;
   std::unique_ptr<ExchangeEngine> engine_;
   ResilienceEngine resilience_;
-  std::vector<CsrMatrix> precond_local_; ///< node-diagonal blocks of P
 
   // Solver state (valid during solve()).
   std::unique_ptr<DistVector> x_, r_, z_, p_, ap_;

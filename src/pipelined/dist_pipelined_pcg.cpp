@@ -76,6 +76,9 @@ DistPipelinedPcg::DistPipelinedPcg(const CsrMatrix& a,
                  "residual replacement is not implemented for the pipelined "
                  "solver");
   ESRP_CHECK(opts_.rtol > 0 && opts_.inner_rtol > 0);
+  // Per-rank preconditioning is communication-free only for a node-local
+  // action (same requirement as ResilientPcg).
+  check_node_local(precond, cluster.partition());
 }
 
 DistPipelinedResult DistPipelinedPcg::solve(std::span<const real_t> b) {
@@ -98,13 +101,6 @@ DistPipelinedResult DistPipelinedPcg::solve(std::span<const real_t> b) {
   const AspmvPlan* aug =
       shared_aug_ ? shared_aug_ : (local_aug ? &*local_aug : nullptr);
 
-  // Node-local preconditioner blocks (same requirement as ResilientPcg).
-  std::vector<CsrMatrix> p_local;
-  p_local.reserve(static_cast<std::size_t>(part.num_nodes()));
-  for (rank_t s = 0; s < part.num_nodes(); ++s) {
-    const IndexSet range = index_range(part.begin(s), part.end(s));
-    p_local.push_back(precond_->action_matrix()->extract(range, range));
-  }
   // Per-node loops follow ResilientPcg's idiom: elementwise work is
   // parallel_for over ranks (disjoint slices), reductions are
   // parallel_reduce with a fixed grain of one rank per chunk combined in
@@ -116,9 +112,10 @@ DistPipelinedResult DistPipelinedPcg::solve(std::span<const real_t> b) {
     parallel_for(index_t{0}, nodes, rank_grain, [&](index_t lo, index_t hi) {
       for (index_t i = lo; i < hi; ++i) {
         const auto s = static_cast<rank_t>(i);
-        const CsrMatrix& ps = p_local[static_cast<std::size_t>(s)];
-        ps.spmv(in.local(s), out.local(s));
-        cluster_->add_compute(s, static_cast<double>(ps.spmv_flops()));
+        const index_t row_lo = part.begin(s), row_hi = part.end(s);
+        precond_->apply_rows(row_lo, row_hi, in.local(s), out.local(s));
+        cluster_->add_compute(s,
+                              precond_->apply_rows_flops(row_lo, row_hi));
       }
     });
   };

@@ -8,12 +8,17 @@
 // return it from action_matrix(); the others (SSOR, IC(0)) can be used with
 // the plain solver but not with ESR/ESRP reconstruction — exactly the
 // formulation question the paper's reference [20] addresses.
+//
+// The distributed solvers apply P one rank at a time through apply_rows():
+// a node-local action (check_node_local) maps each rank's slice of r to its
+// slice of z with no communication.
 #pragma once
 
 #include <span>
 #include <string>
 
 #include "common/types.hpp"
+#include "partition/partition.hpp"
 #include "sparse/csr.hpp"
 
 namespace esrp {
@@ -29,6 +34,20 @@ public:
 
   /// z := P r (the preconditioner action).
   virtual void apply(std::span<const real_t> r, std::span<real_t> z) const = 0;
+
+  /// z := P[lo:hi, lo:hi] r for one rank's rows [lo, hi): `r` and `z` are
+  /// that rank's slices (hi - lo entries each). The rows must be node-local,
+  /// with no action entry outside [lo, hi) (check_node_local), and the
+  /// result is bitwise equal to the same rows of action_matrix()->spmv(r)
+  /// for finite r. Runs serially: callers parallelize over ranks. The
+  /// default walks the CSR rows of action_matrix() and throws when there is
+  /// none.
+  virtual void apply_rows(index_t lo, index_t hi, std::span<const real_t> r,
+                          std::span<real_t> z) const;
+
+  /// Floating-point cost of apply_rows(lo, hi, ...) for the cost model:
+  /// two flops per action entry in those rows.
+  double apply_rows_flops(index_t lo, index_t hi) const;
 
   /// Explicit CSR of the action (z = action_matrix() * r), or nullptr when
   /// the action is only available as an algorithm. This is the "inverse
@@ -66,5 +85,12 @@ private:
   index_t n_;
   CsrMatrix p_;
 };
+
+/// Throws esrp::Error unless the preconditioner has an explicit action
+/// whose every row stays within its owner's index range under `part`: the
+/// condition for communication-free apply_rows and P_{I_f, I\I_f} = 0.
+/// Solvers re-check it whenever their partition changes (shrink, rejoin).
+void check_node_local(const Preconditioner& precond,
+                      const BlockRowPartition& part);
 
 } // namespace esrp

@@ -11,13 +11,19 @@ CooBuilder::CooBuilder(index_t rows, index_t cols) : rows_(rows), cols_(cols) {
   ESRP_CHECK_MSG(rows >= 0 && cols >= 0,
                  "matrix dimensions must be non-negative, got " << rows << "x"
                                                                 << cols);
+  ESRP_CHECK_MSG(rows <= kMaxDim && cols <= kMaxDim,
+                 "matrix dimensions " << rows << "x" << cols
+                                      << " exceed the supported maximum of "
+                                      << kMaxDim << " rows or columns");
 }
 
 void CooBuilder::add(index_t i, index_t j, real_t v) {
   ESRP_CHECK_MSG(i >= 0 && i < rows_ && j >= 0 && j < cols_,
                  "triplet (" << i << "," << j << ") outside " << rows_ << "x"
                              << cols_);
-  entries_.push_back({i, j, v});
+  entries_.push_back({static_cast<std::uint64_t>(i) << 32 |
+                          static_cast<std::uint64_t>(j),
+                      v});
 }
 
 void CooBuilder::add_sym(index_t i, index_t j, real_t v) {
@@ -26,10 +32,9 @@ void CooBuilder::add_sym(index_t i, index_t j, real_t v) {
 }
 
 CsrMatrix CooBuilder::to_csr() const {
-  std::vector<Triplet> sorted = entries_;
-  std::sort(sorted.begin(), sorted.end(), [](const Triplet& a, const Triplet& b) {
-    return a.row != b.row ? a.row < b.row : a.col < b.col;
-  });
+  std::vector<Entry> sorted = entries_;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Entry& a, const Entry& b) { return a.key < b.key; });
 
   std::vector<index_t> row_ptr(static_cast<std::size_t>(rows_) + 1, 0);
   std::vector<index_t> col_idx;
@@ -39,17 +44,16 @@ CsrMatrix CooBuilder::to_csr() const {
 
   std::size_t k = 0;
   while (k < sorted.size()) {
-    const index_t i = sorted[k].row;
-    const index_t j = sorted[k].col;
+    const std::uint64_t key = sorted[k].key;
     real_t acc = 0;
-    while (k < sorted.size() && sorted[k].row == i && sorted[k].col == j) {
+    while (k < sorted.size() && sorted[k].key == key) {
       acc += sorted[k].value;
       ++k;
     }
     if (acc != real_t{0}) {
-      col_idx.push_back(j);
+      col_idx.push_back(static_cast<index_t>(key & 0xffffffffu));
       values.push_back(acc);
-      ++row_ptr[static_cast<std::size_t>(i) + 1];
+      ++row_ptr[static_cast<std::size_t>(key >> 32) + 1];
     }
   }
   for (std::size_t r = 0; r < static_cast<std::size_t>(rows_); ++r)

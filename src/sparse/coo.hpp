@@ -3,6 +3,7 @@
 // which deduplicates by summing and converts to CSR.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/types.hpp"
@@ -13,6 +14,11 @@ class CsrMatrix;
 
 class CooBuilder {
 public:
+  /// Largest row or column count a builder accepts: indices must fit the
+  /// 32-bit halves of the packed sort key.
+  static constexpr index_t kMaxDim = index_t{1} << 32;
+
+  /// Throws esrp::Error unless 0 <= rows, cols <= kMaxDim.
   CooBuilder(index_t rows, index_t cols);
 
   index_t rows() const { return rows_; }
@@ -33,15 +39,19 @@ public:
   CsrMatrix to_csr() const;
 
 private:
-  struct Triplet {
-    index_t row;
-    index_t col;
+  /// A triplet as one 16-byte record: key = row << 32 | col, so comparing
+  /// keys gives exactly the (row, col) lexicographic outcome. std::sort thus
+  /// makes the same comparisons and applies the same permutation as it
+  /// would to (row, col, value) triplets, and duplicates are summed in the
+  /// same order — the packing changes bytes moved, not results.
+  struct Entry {
+    std::uint64_t key;
     real_t value;
   };
 
   index_t rows_;
   index_t cols_;
-  std::vector<Triplet> entries_;
+  std::vector<Entry> entries_;
 };
 
 } // namespace esrp

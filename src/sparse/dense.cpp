@@ -95,49 +95,59 @@ bool DenseMatrix::is_symmetric(real_t tol) const {
 
 Cholesky::Cholesky(const DenseMatrix& a) : l_(a.rows(), a.cols()) {
   ESRP_CHECK_MSG(a.rows() == a.cols(), "Cholesky requires a square matrix");
-  const index_t n = a.rows();
-  for (index_t j = 0; j < n; ++j) {
-    real_t diag = a(j, j);
-    for (index_t k = 0; k < j; ++k) diag -= l_(j, k) * l_(j, k);
+  const auto n = static_cast<std::size_t>(a.rows());
+  const real_t* ad = a.data();
+  real_t* l = l_.data();
+  // Column-major: (i, j) lives at [j * n + i]. Same operations in the same
+  // order as the textbook loops, so the factor is bitwise reproducible.
+  for (std::size_t j = 0; j < n; ++j) {
+    real_t diag = ad[j * n + j];
+    for (std::size_t k = 0; k < j; ++k) diag -= l[k * n + j] * l[k * n + j];
     ESRP_CHECK_MSG(diag > 0, "matrix not SPD: pivot " << j << " = " << diag);
     const real_t ljj = std::sqrt(diag);
-    l_(j, j) = ljj;
-    for (index_t i = j + 1; i < n; ++i) {
-      real_t acc = a(i, j);
-      for (index_t k = 0; k < j; ++k) acc -= l_(i, k) * l_(j, k);
-      l_(i, j) = acc / ljj;
+    l[j * n + j] = ljj;
+    for (std::size_t i = j + 1; i < n; ++i) {
+      real_t acc = ad[j * n + i];
+      for (std::size_t k = 0; k < j; ++k) acc -= l[k * n + i] * l[k * n + j];
+      l[j * n + i] = acc / ljj;
     }
   }
 }
 
-Vector Cholesky::solve(std::span<const real_t> b) const {
-  const index_t n = dim();
-  ESRP_CHECK(static_cast<index_t>(b.size()) == n);
-  Vector y(b.begin(), b.end());
+void Cholesky::solve_in_place(real_t* y) const {
+  const auto n = static_cast<std::size_t>(dim());
+  const real_t* l = l_.data();
   // Forward substitution L y = b.
-  for (index_t i = 0; i < n; ++i) {
-    real_t acc = y[static_cast<std::size_t>(i)];
-    for (index_t k = 0; k < i; ++k) acc -= l_(i, k) * y[static_cast<std::size_t>(k)];
-    y[static_cast<std::size_t>(i)] = acc / l_(i, i);
+  for (std::size_t i = 0; i < n; ++i) {
+    real_t acc = y[i];
+    for (std::size_t k = 0; k < i; ++k) acc -= l[k * n + i] * y[k];
+    y[i] = acc / l[i * n + i];
   }
   // Backward substitution L^T x = y.
-  for (index_t i = n - 1; i >= 0; --i) {
-    real_t acc = y[static_cast<std::size_t>(i)];
-    for (index_t k = i + 1; k < n; ++k) acc -= l_(k, i) * y[static_cast<std::size_t>(k)];
-    y[static_cast<std::size_t>(i)] = acc / l_(i, i);
+  for (std::size_t i = n; i-- > 0;) {
+    real_t acc = y[i];
+    for (std::size_t k = i + 1; k < n; ++k) acc -= l[i * n + k] * y[k];
+    y[i] = acc / l[i * n + i];
   }
+}
+
+Vector Cholesky::solve(std::span<const real_t> b) const {
+  ESRP_CHECK(static_cast<index_t>(b.size()) == dim());
+  Vector y(b.begin(), b.end());
+  solve_in_place(y.data());
   return y;
 }
 
 DenseMatrix Cholesky::inverse() const {
   const index_t n = dim();
   DenseMatrix inv(n, n);
-  Vector e(static_cast<std::size_t>(n), 0);
+  // Column j of the inverse is A^{-1} e_j, solved in place in inv's own
+  // (zero-initialized, column-major) storage.
   for (index_t j = 0; j < n; ++j) {
-    e[static_cast<std::size_t>(j)] = 1;
-    const Vector col = solve(e);
-    for (index_t i = 0; i < n; ++i) inv(i, j) = col[static_cast<std::size_t>(i)];
-    e[static_cast<std::size_t>(j)] = 0;
+    real_t* col = inv.data() + static_cast<std::size_t>(j) *
+                                   static_cast<std::size_t>(n);
+    col[j] = 1;
+    solve_in_place(col);
   }
   return inv;
 }

@@ -27,6 +27,11 @@ public:
   real_t& operator()(index_t i, index_t j);
   real_t operator()(index_t i, index_t j) const;
 
+  /// Column-major storage: entry (i, j) is data()[j * rows() + i]. For
+  /// kernels that index directly instead of through the checked operator().
+  real_t* data() { return data_.data(); }
+  const real_t* data() const { return data_.data(); }
+
   /// y := A x.
   void matvec(std::span<const real_t> x, std::span<real_t> y) const;
 
@@ -62,6 +67,9 @@ public:
   real_t log_det() const;
 
 private:
+  /// Forward then backward substitution on y (length dim()), in place.
+  void solve_in_place(real_t* y) const;
+
   DenseMatrix l_;
 };
 

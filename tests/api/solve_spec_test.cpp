@@ -3,6 +3,7 @@
 // schedules, unknown registry keys, and solver/strategy mismatches.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "api/solve.hpp"
@@ -283,6 +284,55 @@ TEST(SolveSpecValidation, SolveRejectsMismatchedVectors) {
   spec.rhs = {};
   spec.x0 = short_rhs;
   EXPECT_THROW(solve(spec), Error);
+}
+
+/// The non-finite values every input vector is checked against, with the
+/// word the error must use for each.
+const std::pair<real_t, const char*> kNonFinite[] = {
+    {std::numeric_limits<real_t>::quiet_NaN(), "NaN"},
+    {std::numeric_limits<real_t>::infinity(), "infinite"},
+    {-std::numeric_limits<real_t>::infinity(), "infinite"}};
+
+TEST(SolveSpecValidation, RejectsNonFiniteRhs) {
+  for (const auto& [bad, word] : kNonFinite) {
+    Vector rhs(64, 1.0);
+    rhs[41] = bad;
+    SolveSpec spec = distributed_spec();
+    spec.rhs = rhs;
+    expect_invalid(spec, std::string("rhs[41] is ") + word);
+  }
+}
+
+TEST(SolveSpecValidation, RejectsNonFiniteX0) {
+  for (const auto& [bad, word] : kNonFinite) {
+    Vector x0(64, 0.0);
+    x0[0] = bad;
+    SolveSpec spec = distributed_spec();
+    spec.x0 = x0;
+    expect_invalid(spec, std::string("x0[0] is ") + word);
+  }
+}
+
+TEST(SolveSpecValidation, RejectsNonFiniteRhsBatchVector) {
+  for (const auto& [bad, word] : kNonFinite) {
+    SolveSpec spec;
+    spec.matrix = "poisson2d:8,8";
+    spec.solver = "pcg";
+    spec.precond = "jacobi";
+    spec.rhs_batch = {Vector(64, 1.0), Vector(64, 2.0), Vector(64, 3.0)};
+    spec.rhs_batch[2][63] = bad;
+    expect_invalid(spec, std::string("rhs_batch[2][63] is ") + word);
+  }
+}
+
+TEST(SolveSpecValidation, FiniteInputsWithZerosAndExtremesPass) {
+  SolveSpec spec = distributed_spec();
+  Vector rhs(64, 0.0);
+  rhs[1] = -0.0;
+  rhs[2] = std::numeric_limits<real_t>::max();
+  rhs[3] = std::numeric_limits<real_t>::denorm_min();
+  spec.rhs = rhs;
+  EXPECT_NO_THROW(validate_spec(spec));
 }
 
 } // namespace

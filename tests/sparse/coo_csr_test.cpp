@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 
@@ -66,6 +71,85 @@ TEST(CooBuilder, OutOfRangeTripletThrows) {
   CooBuilder b(2, 2);
   EXPECT_THROW(b.add(2, 0, 1), Error);
   EXPECT_THROW(b.add(0, -1, 1), Error);
+}
+
+/// The (row, col, value) triplet sort CooBuilder performed before it packed
+/// keys — kept as the oracle the packed sort must reproduce bit for bit.
+struct Triplet {
+  index_t row;
+  index_t col;
+  real_t value;
+};
+
+CsrMatrix triplet_sort_csr(index_t rows, index_t cols,
+                           std::vector<Triplet> sorted) {
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Triplet& a, const Triplet& b) {
+              return a.row != b.row ? a.row < b.row : a.col < b.col;
+            });
+  std::vector<index_t> row_ptr(static_cast<std::size_t>(rows) + 1, 0);
+  std::vector<index_t> col_idx;
+  std::vector<real_t> values;
+  std::size_t k = 0;
+  while (k < sorted.size()) {
+    const index_t i = sorted[k].row;
+    const index_t j = sorted[k].col;
+    real_t acc = 0;
+    while (k < sorted.size() && sorted[k].row == i && sorted[k].col == j) {
+      acc += sorted[k].value;
+      ++k;
+    }
+    if (acc != real_t{0}) {
+      col_idx.push_back(j);
+      values.push_back(acc);
+      ++row_ptr[static_cast<std::size_t>(i) + 1];
+    }
+  }
+  for (std::size_t r = 0; r < static_cast<std::size_t>(rows); ++r)
+    row_ptr[r + 1] += row_ptr[r];
+  return CsrMatrix(rows, cols, std::move(row_ptr), std::move(col_idx),
+                   std::move(values));
+}
+
+TEST(CooBuilder, PackedSortMatchesTripletSortBitwise) {
+  // Heavy duplicates in shuffled order: the sum of each (i, j) group rounds
+  // differently under a different order, so bitwise equality pins the
+  // permutation of equal keys, not only the set of entries. Every fifth
+  // group also gets exact cancellations, and the last row holds only an
+  // explicit zero.
+  const index_t rows = 37, cols = 29;
+  Rng rng(2024);
+  std::vector<Triplet> triplets;
+  for (int t = 0; t < 6000; ++t) {
+    const auto i = static_cast<index_t>(rng.next_below(rows - 1));
+    const auto j = static_cast<index_t>(rng.next_below(cols));
+    const real_t v = rng.uniform(-1, 1) * (t % 7 == 0 ? 1e8 : 1.0);
+    triplets.push_back({i, j, v});
+    if ((i + j) % 5 == 0) triplets.push_back({i, j, -v});
+  }
+  triplets.push_back({rows - 1, cols - 1, 0.0});
+  for (std::size_t k = triplets.size(); k > 1; --k)
+    std::swap(triplets[k - 1], triplets[rng.next_below(k)]);
+
+  CooBuilder b(rows, cols);
+  for (const Triplet& t : triplets) b.add(t.row, t.col, t.value);
+  const CsrMatrix got = b.to_csr();
+  const CsrMatrix want = triplet_sort_csr(rows, cols, triplets);
+  ASSERT_TRUE(std::equal(got.row_ptr().begin(), got.row_ptr().end(),
+                         want.row_ptr().begin(), want.row_ptr().end()));
+  ASSERT_TRUE(std::equal(got.col_idx().begin(), got.col_idx().end(),
+                         want.col_idx().begin(), want.col_idx().end()));
+  ASSERT_EQ(got.values().size(), want.values().size());
+  EXPECT_EQ(std::memcmp(got.values().data(), want.values().data(),
+                        got.values().size_bytes()),
+            0);
+  EXPECT_TRUE(got.row_cols(rows - 1).empty()); // lone explicit zero dropped
+}
+
+TEST(CooBuilder, RejectsDimensionsBeyondThePackedKey) {
+  EXPECT_NO_THROW(CooBuilder(CooBuilder::kMaxDim, CooBuilder::kMaxDim));
+  EXPECT_THROW(CooBuilder(CooBuilder::kMaxDim + 1, 1), Error);
+  EXPECT_THROW(CooBuilder(1, CooBuilder::kMaxDim + 1), Error);
 }
 
 TEST(CooBuilder, EmptyMatrixProducesValidCsr) {

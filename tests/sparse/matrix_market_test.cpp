@@ -83,6 +83,25 @@ TEST(MatrixMarket, RejectsEntryCountAboveDimensions) {
   EXPECT_THROW(read_matrix_market(huge), Error);
 }
 
+TEST(MatrixMarket, RejectsDimensionsBeyondTheIndexRange) {
+  // 5e9 rows exceed the 32-bit row/column halves of CooBuilder's sort key;
+  // the reader refuses before sizing anything.
+  for (const char* size_line : {"5000000000 5000000000 0\n",
+                                "4294967297 4 0\n", "4 4294967297 1\n"}) {
+    std::istringstream in(std::string("%%MatrixMarket matrix coordinate real "
+                                      "general\n") +
+                          size_line + "1 1 1.0\n");
+    try {
+      read_matrix_market(in);
+      ADD_FAILURE() << size_line << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("supported maximum"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(MatrixMarket, RejectsNonFiniteValues) {
   for (const char* value : {"nan", "inf", "-inf", "1e400"}) {
     std::istringstream in(
