@@ -253,14 +253,20 @@ void BM_Reconstruction(benchmark::State& state) {
 BENCHMARK(BM_Reconstruction)->Arg(1)->Arg(3)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-void BM_FullResilientIteration(benchmark::State& state) {
-  // Amortized wall cost per ESRP iteration (T = 20, phi = 3, no failure).
+/// Amortized solve-only wall cost per iteration on 64 simulated nodes, no
+/// failure. The variants share one problem so their ratios read directly:
+/// esr_t1 / none is classic ESR's per-iteration overhead (redundancy capture
+/// every iteration), esrp_t20 / none the periodic variant's. Ten solves per
+/// variant: with three, esr_t1 / none read 1.27x in one run and 1.49x in the
+/// next on the same code.
+void BM_FullResilientIteration(benchmark::State& state, Strategy strategy,
+                               index_t interval) {
   const CsrMatrix& a = test_matrix();
   const Vector b = xp::make_rhs(a);
   for (auto _ : state) {
     xp::RunConfig cfg;
-    cfg.strategy = Strategy::esrp;
-    cfg.interval = 20;
+    cfg.strategy = strategy;
+    cfg.interval = interval;
     cfg.phi = 3;
     cfg.num_nodes = 64;
     const xp::RunOutcome out = xp::run_experiment(a, b, cfg);
@@ -270,8 +276,12 @@ void BM_FullResilientIteration(benchmark::State& state) {
   }
   state.SetLabel("wall seconds per PCG iteration on 64 simulated nodes");
 }
-BENCHMARK(BM_FullResilientIteration)->UseManualTime()->Iterations(3)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_FullResilientIteration, none, Strategy::none, 20)
+    ->UseManualTime()->Iterations(10)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_FullResilientIteration, esr_t1, Strategy::esrp, 1)
+    ->UseManualTime()->Iterations(10)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_FullResilientIteration, esrp_t20, Strategy::esrp, 20)
+    ->UseManualTime()->Iterations(10)->Unit(benchmark::kMillisecond);
 
 // --- Facade dispatch overhead (api_redesign acceptance: the declarative
 // SolveSpec -> esrp::solve path must cost < 1% over calling the solver
@@ -323,8 +333,9 @@ BENCHMARK(BM_FacadeEndToEndSolve)->Unit(benchmark::kMillisecond);
 
 void BM_FacadeOverheadAssert(benchmark::State& state) {
   // One-sided bound, stable on noisy shared runners: the facade's additive
-  // per-solve work (spec validation + the three registry lookups — the
-  // dispatch layer; the solve itself and the vectors are shared/moved) is
+  // per-solve work (spec validation, the matrix_data finiteness scan and
+  // the three registry lookups — the dispatch layer; the solve itself and
+  // the vectors are shared/moved) is
   // measured in a tight loop where microseconds resolve cleanly, then
   // compared against the *fastest observed* direct solve. Differencing two
   // full solve timings would put the quantity under test far below the
@@ -352,6 +363,7 @@ void BM_FacadeOverheadAssert(benchmark::State& state) {
     WallTimer dispatch_timer;
     for (int rep = 0; rep < kDispatchReps; ++rep) {
       validate_spec(spec);
+      check_finite_matrix(a); // esrp::solve checks a caller's matrix_data
       benchmark::DoNotOptimize(&solver_registry().get(spec.solver));
       benchmark::DoNotOptimize(&precond_registry().get(spec.precond));
     }

@@ -336,6 +336,7 @@ SolveReport run_resolved(const SolveSpec& spec, const CsrMatrix& a,
 
 SolveReport solve(const SolveSpec& spec, SolverObserver* observer) {
   validate_spec(spec);
+  if (spec.matrix_data != nullptr) check_finite_matrix(*spec.matrix_data);
   if (!spec.rhs_batch.empty())
     throw Error("batched right-hand sides (rhs_batch) are solved through "
                 "SolveService::solve_batched, not esrp::solve");

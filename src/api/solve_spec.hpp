@@ -267,4 +267,11 @@ public:
 /// Throws esrp::Error; solve() calls this first.
 void validate_spec(const SolveSpec& spec);
 
+/// Check a caller-supplied matrix (`matrix_data`) for NaN and infinite
+/// values; the error names the first bad entry's row and column. One pass
+/// over the values, so esrp::solve runs it per call and
+/// SolveService::prepare once per cache miss (a hit's matrix was checked
+/// when its handle was built). Throws esrp::Error.
+void check_finite_matrix(const CsrMatrix& a);
+
 } // namespace esrp

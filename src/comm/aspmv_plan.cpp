@@ -10,7 +10,9 @@ CopyLayout::CopyLayout(std::vector<IndexSet> held,
                        std::vector<std::size_t> ghost_count)
     : held_(std::move(held)), ghost_count_(std::move(ghost_count)) {
   ESRP_CHECK(held_.size() == ghost_count_.size());
+  begin_.assign(held_.size() + 1, 0);
   for (std::size_t h = 0; h < held_.size(); ++h) {
+    begin_[h + 1] = begin_[h] + held_[h].size();
     const std::span<const index_t> idx = held_[h];
     ESRP_CHECK(ghost_count_[h] <= idx.size());
     const auto ghosts = idx.first(ghost_count_[h]);
@@ -38,6 +40,11 @@ std::ptrdiff_t CopyLayout::find(rank_t h, index_t i) const {
     if (it != hi && *it == i) return it - idx.begin();
   }
   return -1;
+}
+
+std::size_t CopyLayout::begin(rank_t h) const {
+  ESRP_CHECK(h >= 0 && h < num_holders());
+  return begin_[static_cast<std::size_t>(h)];
 }
 
 rank_t designated_destination(rank_t s, int k, rank_t num_nodes) {

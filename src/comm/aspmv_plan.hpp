@@ -32,9 +32,10 @@ namespace esrp {
 /// Where the values of a RedundantCopy live: for each holder, the global
 /// indices of the off-owner entries it holds after an exchange, in plan
 /// order — a sorted ghost run (its SpMV halo receipts) followed by a sorted
-/// augmentation run. Immutable once built: an AspmvPlan and every copy
-/// captured through it share one instance, so copies outlive a
-/// repartition that replaces the plan.
+/// augmentation run — and where that holder's values start in the copy's
+/// flat value buffer (holders back to back in rank order). Immutable once
+/// built: an AspmvPlan and every copy captured through it share one
+/// instance, so copies outlive a repartition that replaces the plan.
 class CopyLayout {
 public:
   /// `held[h]` is holder h's ghost run (its first `ghost_count[h]` entries)
@@ -51,9 +52,15 @@ public:
   /// Position of entry i in held(h), or -1 if h does not hold it.
   std::ptrdiff_t find(rank_t h, index_t i) const;
 
+  /// Offset of holder h's values in a copy's flat value buffer.
+  std::size_t begin(rank_t h) const;
+  /// Length of every holder's values together: the flat buffer's size.
+  std::size_t total() const { return begin_.back(); }
+
 private:
   std::vector<IndexSet> held_;
   std::vector<std::size_t> ghost_count_;
+  std::vector<std::size_t> begin_; ///< [holder], plus the total at the end
 };
 
 /// Paper Eq. 1: k-th designated destination of node s (k in 1..phi).

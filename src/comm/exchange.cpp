@@ -15,14 +15,6 @@ BulkSeal seal_of(std::span<const real_t> values) {
   return BulkHash().words(values.data(), values.size()).seal();
 }
 
-/// Per-holder value arrays sized by `layout`, zero-filled.
-std::vector<Vector> sized_values(const CopyLayout& layout) {
-  std::vector<Vector> values(static_cast<std::size_t>(layout.num_holders()));
-  for (rank_t h = 0; h < layout.num_holders(); ++h)
-    values[static_cast<std::size_t>(h)].resize(layout.held(h).size());
-  return values;
-}
-
 /// Write the entries of `sl` contiguously from `dst`; `owned` is the
 /// sender's slice, starting at global index `lo`.
 void gather(const SendList& sl, std::span<const real_t> owned, index_t lo,
@@ -34,29 +26,54 @@ void gather(const SendList& sl, std::span<const real_t> owned, index_t lo,
 } // namespace
 
 RedundantCopy::RedundantCopy(index_t tag,
-                             std::shared_ptr<const CopyLayout> layout,
-                             std::vector<Vector> values)
-    : tag_(tag), layout_(std::move(layout)), values_(std::move(values)) {
+                             std::shared_ptr<const CopyLayout> layout)
+    : tag_(tag), layout_(std::move(layout)) {
   ESRP_CHECK(layout_ != nullptr);
-  ESRP_CHECK(static_cast<rank_t>(values_.size()) == layout_->num_holders());
-  seals_.reserve(values_.size());
+  values_ = std::make_unique_for_overwrite<real_t[]>(layout_->total());
+  const auto holders = static_cast<std::size_t>(layout_->num_holders());
+  seals_.resize(holders);
+  dropped_.assign(holders, 0);
+}
+
+RedundantCopy::RedundantCopy(index_t tag,
+                             std::shared_ptr<const CopyLayout> layout,
+                             const std::vector<Vector>& values)
+    : RedundantCopy(tag, std::move(layout)) {
+  ESRP_CHECK(static_cast<rank_t>(values.size()) == layout_->num_holders());
   for (rank_t h = 0; h < layout_->num_holders(); ++h) {
-    const Vector& v = values_[static_cast<std::size_t>(h)];
+    const Vector& v = values[static_cast<std::size_t>(h)];
     ESRP_CHECK(v.size() == layout_->held(h).size());
-    seals_.push_back(seal_of(v));
+    fill_and_seal(h, v);
   }
 }
 
+std::span<real_t> RedundantCopy::values(rank_t h) {
+  return {values_.get() + layout_->begin(h), layout_->held(h).size()};
+}
+
+std::span<const real_t> RedundantCopy::values(rank_t h) const {
+  return {values_.get() + layout_->begin(h), layout_->held(h).size()};
+}
+
+void RedundantCopy::fill_and_seal(rank_t h, std::span<const real_t> head) {
+  const std::span<real_t> v = values(h);
+  ESRP_CHECK(head.size() <= v.size());
+  seals_[static_cast<std::size_t>(h)] =
+      BulkHash()
+          .copy_words(v.data(), head.data(), head.size())
+          .words(v.data() + head.size(), v.size() - head.size())
+          .seal();
+}
+
 std::ptrdiff_t RedundantCopy::find(rank_t h, index_t i) const {
-  if (values_[static_cast<std::size_t>(h)].empty()) return -1;
+  if (dropped_[static_cast<std::size_t>(h)]) return -1;
   return layout_->find(h, i);
 }
 
 bool RedundantCopy::verify(std::span<const rank_t> failed) const {
-  for (rank_t h = 0; h < static_cast<rank_t>(values_.size()); ++h) {
-    if (rank_in(failed, h)) continue;
-    if (seal_of(values_[static_cast<std::size_t>(h)]) !=
-        seals_[static_cast<std::size_t>(h)])
+  for (rank_t h = 0; h < static_cast<rank_t>(seals_.size()); ++h) {
+    if (dropped_[static_cast<std::size_t>(h)] || rank_in(failed, h)) continue;
+    if (seal_of(values(h)) != seals_[static_cast<std::size_t>(h)])
       return false;
   }
   return true;
@@ -64,11 +81,10 @@ bool RedundantCopy::verify(std::span<const rank_t> failed) const {
 
 rank_t RedundantCopy::corrupt(index_t i, int bit) {
   ESRP_CHECK(bit >= 0 && bit < 64);
-  for (rank_t h = 0; h < static_cast<rank_t>(values_.size()); ++h) {
+  for (rank_t h = 0; h < static_cast<rank_t>(seals_.size()); ++h) {
     const std::ptrdiff_t pos = find(h, i);
     if (pos < 0) continue;
-    real_t& v =
-        values_[static_cast<std::size_t>(h)][static_cast<std::size_t>(pos)];
+    real_t& v = values(h)[static_cast<std::size_t>(pos)];
     std::uint64_t bits;
     static_assert(sizeof(bits) == sizeof(real_t));
     std::memcpy(&bits, &v, sizeof(bits));
@@ -81,42 +97,38 @@ rank_t RedundantCopy::corrupt(index_t i, int bit) {
 
 std::vector<std::pair<index_t, real_t>> RedundantCopy::held_in(
     rank_t holder, std::span<const index_t> wanted) const {
-  ESRP_CHECK(holder >= 0 && holder < static_cast<rank_t>(values_.size()));
-  const Vector& values = values_[static_cast<std::size_t>(holder)];
+  ESRP_CHECK(holder >= 0 && holder < static_cast<rank_t>(seals_.size()));
+  const std::span<const real_t> held = values(holder);
   std::vector<std::pair<index_t, real_t>> out;
   for (index_t i : wanted) {
     const std::ptrdiff_t pos = find(holder, i);
-    if (pos >= 0) out.emplace_back(i, values[static_cast<std::size_t>(pos)]);
+    if (pos >= 0) out.emplace_back(i, held[static_cast<std::size_t>(pos)]);
   }
   return out;
 }
 
 std::optional<std::pair<rank_t, real_t>> RedundantCopy::find_surviving(
     index_t i, std::span<const rank_t> failed) const {
-  for (rank_t h = 0; h < static_cast<rank_t>(values_.size()); ++h) {
+  for (rank_t h = 0; h < static_cast<rank_t>(seals_.size()); ++h) {
     if (rank_in(failed, h)) continue;
     const std::ptrdiff_t pos = find(h, i);
     if (pos >= 0)
-      return std::make_pair(h, values_[static_cast<std::size_t>(h)]
-                                      [static_cast<std::size_t>(pos)]);
+      return std::make_pair(h, values(h)[static_cast<std::size_t>(pos)]);
   }
   return std::nullopt;
 }
 
 std::size_t RedundantCopy::total_entries() const {
   std::size_t n = 0;
-  for (const Vector& v : values_) n += v.size();
+  for (rank_t h = 0; h < static_cast<rank_t>(seals_.size()); ++h)
+    if (!dropped_[static_cast<std::size_t>(h)]) n += layout_->held(h).size();
   return n;
 }
 
 void RedundantCopy::drop_holders(std::span<const rank_t> ranks) {
   for (rank_t s : ranks) {
-    ESRP_CHECK(s >= 0 && s < static_cast<rank_t>(values_.size()));
-    Vector().swap(values_[static_cast<std::size_t>(s)]);
-    // Re-seal the emptied holder: dropping a holder is a legitimate mutation
-    // (the node died, its copies with it), so a later verify() against a
-    // different failed set must not misread it as corruption.
-    seals_[static_cast<std::size_t>(s)] = seal_of({});
+    ESRP_CHECK(s >= 0 && s < static_cast<rank_t>(seals_.size()));
+    dropped_[static_cast<std::size_t>(s)] = 1;
   }
 }
 
@@ -187,38 +199,32 @@ RedundantCopy ExchangeEngine::aspmv(const AspmvPlan& aug, const DistVector& p,
   ESRP_CHECK(&aug.base() == plan_);
   halo_exchange(p);
 
-  // Capture: every holder's ghost buffer is the head of its copy ...
-  const CopyLayout& layout = *aug.copy_layout();
-  std::vector<Vector> values(static_cast<std::size_t>(part.num_nodes()));
-  for (rank_t h = 0; h < part.num_nodes(); ++h) {
-    const auto ghosts =
-        local(h).subspan(static_cast<std::size_t>(part.local_size(h)));
-    Vector& held = values[static_cast<std::size_t>(h)];
-    held.reserve(layout.held(h).size());
-    held.assign(ghosts.begin(), ghosts.end());
-    held.resize(layout.held(h).size());
-  }
-  // ... and the augmentation traffic — pure redundancy, never read by the
-  // local products — fills the tail.
+  // Capture: the augmentation traffic — pure redundancy, never read by the
+  // local products — fills each holder's tail ...
+  RedundantCopy copy(tag, aug.copy_layout());
   for (rank_t s = 0; s < part.num_nodes(); ++s) {
     const auto owned = p.local(s);
     for (const SendList& sl : aug.extra_sends(s)) {
       charge(s, sl, CommCategory::aspmv_extra);
-      gather(sl, owned, part.begin(s),
-             values[static_cast<std::size_t>(sl.to)].data() + sl.offset);
+      gather(sl, owned, part.begin(s), copy.values(sl.to).data() + sl.offset);
     }
   }
+  // ... and its ghost buffer is copied into the head as the holder is
+  // sealed.
+  for (rank_t h = 0; h < part.num_nodes(); ++h)
+    copy.fill_and_seal(
+        h, local(h).subspan(static_cast<std::size_t>(part.local_size(h))));
 
   local_products(y);
   cluster_->complete_step();
-  return RedundantCopy(tag, aug.copy_layout(), std::move(values));
+  return copy;
 }
 
 RedundantCopy ExchangeEngine::disseminate(const AspmvPlan& aug,
                                           const DistVector& p, index_t tag) {
   const BlockRowPartition& part = plan_->partition();
   ESRP_CHECK(&aug.base() == plan_);
-  std::vector<Vector> values = sized_values(*aug.copy_layout());
+  RedundantCopy copy(tag, aug.copy_layout());
   for (rank_t s = 0; s < part.num_nodes(); ++s) {
     const auto owned = p.local(s);
     // Halo-list receivers first, then the augmentation top-up — the same
@@ -228,12 +234,13 @@ RedundantCopy ExchangeEngine::disseminate(const AspmvPlan& aug,
       for (const SendList& sl : *lists) {
         charge(s, sl, CommCategory::aspmv_extra);
         gather(sl, owned, part.begin(s),
-               values[static_cast<std::size_t>(sl.to)].data() + sl.offset);
+               copy.values(sl.to).data() + sl.offset);
       }
     }
   }
+  for (rank_t h = 0; h < part.num_nodes(); ++h) copy.fill_and_seal(h, {});
   cluster_->complete_step();
-  return RedundantCopy(tag, aug.copy_layout(), std::move(values));
+  return copy;
 }
 
 } // namespace esrp

@@ -7,9 +7,11 @@
 // augmentation traffic so that every entry has at least phi off-owner copies.
 //
 // Data layout: each node works on a compact [owned | ghosts] buffer in the
-// SpmvPlan's local numbering, and a copy stores per-holder value arrays in
-// the order the AspmvPlan's CopyLayout fixes, so capture is a copy of the
-// ghost buffer plus one gather of the augmentation entries.
+// SpmvPlan's local numbering, and a copy stores one flat value buffer in
+// the order the AspmvPlan's CopyLayout fixes: per holder, the ghosts, then
+// the augmentation receipts. Capture gathers the augmentation entries into
+// the holder tails, then copies each ghost buffer into its head while
+// sealing the holder, so every value is written once and read once more.
 #pragma once
 
 #include <cstdint>
@@ -28,25 +30,27 @@
 
 namespace esrp {
 
-/// Off-owner copies of one search-direction vector: per holder, one value
-/// array in the order its CopyLayout fixes (the holder's sorted ghosts, then
-/// its sorted augmentation receipts). The indices live in the shared,
-/// immutable layout; the copy stores values only.
+/// Off-owner copies of one search-direction vector: one flat value buffer,
+/// holder h's values at layout->begin(h) in the order layout->held(h)
+/// names them (the holder's sorted ghosts, then its sorted augmentation
+/// receipts). The indices and offsets live in the shared, immutable
+/// layout; the copy stores the values plus per-holder seals and dropped
+/// flags.
 class RedundantCopy {
 public:
   RedundantCopy() = default;
-  /// `values[h]` holds the entries layout->held(h) names, in that order.
-  /// Seals every holder's values.
+  /// A copy built from per-holder arrays: `values[h]` holds the entries
+  /// layout->held(h) names, in that order. Seals every holder's values.
   RedundantCopy(index_t tag, std::shared_ptr<const CopyLayout> layout,
-                std::vector<Vector> values);
+                const std::vector<Vector>& values);
 
   index_t tag() const { return tag_; }
   bool valid() const { return tag_ >= 0; }
 
   /// Recompute every surviving holder's seal and compare against the seal
-  /// taken at construction. True iff all match — a mismatch means the
-  /// stored bytes changed since the exchange (silent corruption of the
-  /// redundant state), so this copy must not feed a reconstruction.
+  /// taken when its values were written. True iff all match — a mismatch
+  /// means the stored bytes changed since the exchange (silent corruption
+  /// of the redundant state), so this copy must not feed a reconstruction.
   bool verify(std::span<const rank_t> failed) const;
 
   /// Fault injection: flip `bit` of the stored value of global entry `i` on
@@ -66,25 +70,38 @@ public:
   std::optional<std::pair<rank_t, real_t>> find_surviving(
       index_t i, std::span<const rank_t> failed) const;
 
-  /// Number of (holder, entry) pairs stored (diagnostics).
+  /// Number of (holder, entry) pairs stored, dropped holders excluded
+  /// (diagnostics).
   std::size_t total_entries() const;
 
   /// Discard everything held by the given ranks — the copies a node failure
-  /// destroys along with the node.
+  /// destroys along with the node. The holders are marked dropped; their
+  /// storage is freed with the copy.
   void drop_holders(std::span<const rank_t> ranks);
 
 private:
+  friend class ExchangeEngine;
+
+  /// A copy with uninitialized values; the filler writes every holder's
+  /// values and seals each through fill_and_seal().
+  RedundantCopy(index_t tag, std::shared_ptr<const CopyLayout> layout);
+
+  std::span<real_t> values(rank_t h);
+  std::span<const real_t> values(rank_t h) const;
+  /// Copy `head` to the front of holder h's values and seal the holder in
+  /// the same pass; the rest of its values must already be written.
+  void fill_and_seal(rank_t h, std::span<const real_t> head);
   /// Position of entry i in holder h's values, or -1 (also once dropped).
   std::ptrdiff_t find(rank_t h, index_t i) const;
 
   index_t tag_ = -1;
   std::shared_ptr<const CopyLayout> layout_;
-  std::vector<Vector> values_; ///< [holder]; empty once dropped
-  /// Per-holder word-wise seals over the values, taken at construction. Per
-  /// holder (not whole-copy) because drop_holders() legitimately erases
-  /// individual holders' values after a failure — the surviving holders'
-  /// seals must stay comparable.
+  std::unique_ptr<real_t[]> values_; ///< every holder, back to back
+  /// Per-holder word-wise seals, taken as the values are written. Per
+  /// holder (not whole-copy) so that verify() can skip the holders a
+  /// failure dropped and still compare the survivors.
   std::vector<BulkSeal> seals_;
+  std::vector<char> dropped_; ///< [holder]: lost with its node
 };
 
 /// Drives halo exchanges and local products for one matrix on one cluster.
@@ -104,7 +121,8 @@ public:
   /// y := A p using the augmented SpMV: regular halo traffic plus the
   /// augmentation sends of `aug`; every off-owner receipt is captured into
   /// the returned RedundantCopy (tagged with `tag`) — each holder's ghost
-  /// buffer plus the augmentation entries, in aug.copy_layout() order.
+  /// buffer plus the augmentation entries, in aug.copy_layout() order,
+  /// sealed as they are written.
   RedundantCopy aspmv(const AspmvPlan& aug, const DistVector& p, index_t tag,
                       DistVector& y);
 

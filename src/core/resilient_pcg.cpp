@@ -461,7 +461,11 @@ ResilientSolveResult ResilientPcg::solve(std::span<const real_t> b,
         // beta currently holds beta^(j-1), the value Alg. 2 needs; for
         // T >= 3 it equals the beta** captured at the end of iteration mT.
         if (T > 1 && j > T + 1) ESRP_CHECK(beta_ == beta_dstar_);
-        resilience_.save_snapshot(j, solver_state());
+        // At T = 1 the live state *is* the star state until the CG update
+        // below, and the next store would replace the single snapshot slot
+        // before any failure check reads it — so the snapshot is taken
+        // only on the failure path.
+        if (T > 1) resilience_.save_snapshot(j, solver_state());
         if (resilience_.has_copy(j - 1)) resilience_.set_recoverable(j);
       }
     } else {
@@ -470,6 +474,8 @@ ResilientSolveResult ResilientPcg::solve(std::span<const real_t> b,
 
     // --- Failure injection (paper §4: zero out at the marked iteration) ---
     if (const FailureEvent* event = resilience_.pending_event(j)) {
+      if (stores.second_store && T == 1)
+        resilience_.save_snapshot(j, solver_state());
       RecoveryRecord record;
       j = resilience_.recover(*event, j, client, record);
       // A redundant-state corruption (SDC target checkpoint/pcopy) is

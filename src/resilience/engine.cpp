@@ -163,8 +163,8 @@ bool ResilienceEngine::try_reconstruct_at(index_t target, RecoveryRung rung,
   // A missing star snapshot demotes to the next rung (historically a hard
   // abort; under the ladder it is just one more unusable input).
   if (stars == nullptr) return false;
-  // Integrity gate: a copy whose surviving holders no longer match their
-  // finalize()-time checksums has been silently corrupted at rest and must
+  // Integrity gate: a copy whose surviving holders no longer match the
+  // seals taken at capture has been silently corrupted at rest and must
   // not feed the reconstruction.
   const bool prev_ok = prev->verify(failed);
   const bool cur_ok = cur->verify(failed);

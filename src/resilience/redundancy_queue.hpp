@@ -26,7 +26,7 @@ public:
   std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return entries_.size(); }
 
-  /// Insert a finalized copy. If an entry with the same tag exists it is
+  /// Insert a sealed copy. If an entry with the same tag exists it is
   /// replaced; otherwise the copy is appended and the oldest entry beyond
   /// capacity is evicted. Tags of new entries must exceed all existing tags.
   void push(RedundantCopy copy);

@@ -60,6 +60,7 @@ std::shared_ptr<const ProblemHandle> ProblemHandle::build(
   handle->problem_ = problem;
 
   if (problem.matrix_data != nullptr) {
+    check_finite_matrix(*problem.matrix_data);
     handle->matrix_ = *problem.matrix_data;
     handle->name_ =
         problem.matrix_name.empty() ? "custom" : problem.matrix_name;

@@ -3,12 +3,15 @@
 // schedules, unknown registry keys, and solver/strategy mismatches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <string>
 
 #include "api/solve.hpp"
 #include "common/error.hpp"
 #include "netsim/failure.hpp"
+#include "service/solve_service.hpp"
+#include "sparse/generators.hpp"
 
 namespace esrp {
 namespace {
@@ -322,6 +325,48 @@ TEST(SolveSpecValidation, RejectsNonFiniteRhsBatchVector) {
     spec.rhs_batch = {Vector(64, 1.0), Vector(64, 2.0), Vector(64, 3.0)};
     spec.rhs_batch[2][63] = bad;
     expect_invalid(spec, std::string("rhs_batch[2][63] is ") + word);
+  }
+}
+
+/// Both entry points that take a caller's matrix reject a non-finite value
+/// and name the first bad entry: esrp::solve on every call, and
+/// SolveService::prepare before it builds (and caches) a handle.
+TEST(SolveSpecValidation, RejectsNonFiniteMatrixData) {
+  for (const auto& [bad, word] : kNonFinite) {
+    SCOPED_TRACE(word);
+    CsrMatrix a = poisson2d(8, 8);
+    // Entry (13, 14), and a later one that must not be the one named.
+    const std::span<const index_t> cols = a.row_cols(13);
+    const auto first = static_cast<std::size_t>(
+        a.row_ptr()[13] + (std::find(cols.begin(), cols.end(), 14) - cols.begin()));
+    ASSERT_EQ(a.col_idx()[first], 14);
+    a.values_mut()[first] = bad;
+    a.values_mut()[static_cast<std::size_t>(a.nnz()) - 1] = bad;
+    const std::string needle = std::string("matrix_data(13, 14) is ") + word;
+
+    SolveSpec spec = distributed_spec();
+    spec.matrix_data = &a;
+    try {
+      (void)solve(spec);
+      ADD_FAILURE() << "esrp::solve accepted a non-finite matrix";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+
+    SolveService service;
+    ProblemSpec problem;
+    problem.matrix_data = &a;
+    problem.precond = "block-jacobi";
+    problem.nodes = 4;
+    try {
+      (void)service.prepare(problem, SolverConfig{});
+      ADD_FAILURE() << "SolveService::prepare accepted a non-finite matrix";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(service.cache_stats().size, 0u);
   }
 }
 

@@ -8,6 +8,7 @@
 #include <map>
 
 #include "common/error.hpp"
+#include "common/fnv.hpp"
 #include "core/metrics.hpp"
 #include "precond/block_jacobi.hpp"
 #include "solver/pcg.hpp"
@@ -629,6 +630,133 @@ TEST(ResilientPcg, InvalidFailureRanksRejected) {
   opts.failure.iteration = 3;
   opts.failure.ranks = {7}; // out of range for 4 nodes
   EXPECT_THROW(ResilientPcg(s.a, precond, cluster, opts), Error);
+}
+
+// --- Classic ESR (T = 1) storage: the star snapshot is taken only on the
+// failure path. These pins were recorded with a solver that stored the
+// snapshot eagerly at every iteration; the records, the x/r hashes and the
+// modeled time must not move by a bit.
+
+/// A RecoveryRecord's outcome fields, pinned exactly (modeled time as
+/// hexfloat).
+struct PinnedRecord {
+  index_t failed_at, restored_to, wasted_iterations;
+  double modeled_time;
+  index_t inner_precond, inner_matrix;
+  bool restarted_from_scratch;
+  RecoveryRung rung;
+  index_t copies_verified, ranks_lost;
+};
+
+struct PinnedSolve {
+  index_t iterations, executed;
+  double modeled_time;
+  std::uint64_t x_hash, r_hash;
+};
+
+std::uint64_t hash_of(const Vector& v) {
+  return fnv1a(v.data(), v.size() * sizeof(real_t));
+}
+
+void expect_pinned(const ResilientSolveResult& res, const PinnedSolve& want,
+                   std::span<const PinnedRecord> records) {
+  EXPECT_TRUE(res.converged);
+  EXPECT_EQ(res.trajectory_iterations, want.iterations);
+  EXPECT_EQ(res.executed_iterations, want.executed);
+  EXPECT_EQ(res.modeled_time, want.modeled_time);
+  EXPECT_EQ(hash_of(res.x), want.x_hash);
+  EXPECT_EQ(hash_of(res.r), want.r_hash);
+  ASSERT_EQ(res.recoveries.size(), records.size());
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    SCOPED_TRACE(k);
+    const RecoveryRecord& got = res.recoveries[k];
+    const PinnedRecord& pin = records[k];
+    EXPECT_EQ(got.failed_at, pin.failed_at);
+    EXPECT_EQ(got.restored_to, pin.restored_to);
+    EXPECT_EQ(got.wasted_iterations, pin.wasted_iterations);
+    EXPECT_EQ(got.modeled_time, pin.modeled_time);
+    EXPECT_EQ(got.inner_iterations_precond, pin.inner_precond);
+    EXPECT_EQ(got.inner_iterations_matrix, pin.inner_matrix);
+    EXPECT_EQ(got.restarted_from_scratch, pin.restarted_from_scratch);
+    EXPECT_EQ(got.rung, pin.rung);
+    EXPECT_EQ(got.attempted, std::vector<RecoveryRung>{pin.rung});
+    EXPECT_EQ(got.copies_verified, pin.copies_verified);
+    EXPECT_EQ(got.copies_corrupt, 0);
+    EXPECT_EQ(got.checkpoints_corrupt, 0);
+    EXPECT_EQ(got.ranks_lost, pin.ranks_lost);
+    EXPECT_EQ(got.ranks_absorbed, 0);
+    EXPECT_EQ(got.ranks_rejoined, 0);
+  }
+}
+
+ResilienceOptions classic_esr() {
+  ResilienceOptions opts;
+  opts.strategy = Strategy::esrp;
+  opts.interval = 1;
+  opts.phi = 2;
+  return opts;
+}
+
+TEST(ResilientPcg, ClassicEsrFailureAtIterationZeroIsPinned) {
+  // No copy pair exists yet, so the snapshot taken on the failure path is
+  // not recoverable and the ladder lands on the scratch rung.
+  SolveSystem s(poisson2d(10, 10), 8);
+  ResilienceOptions opts = classic_esr();
+  opts.failure = FailureEvent{0, contiguous_ranks(2, 2, 8)};
+  const PinnedRecord records[] = {
+      {0, 0, 0, 0x1.240eca6a94p-26, 0, 0, true, RecoveryRung::scratch, 0, 2}};
+  expect_pinned(run(s, opts),
+                {30, 31, 0x1.08240baefd07p-10, 0x1cdbb5fd76fbec99ull,
+                 0x99631efd69fc70b3ull},
+                records);
+}
+
+TEST(ResilientPcg, ClassicEsrFailureRightAfterReExecutionIsPinned) {
+  // The reconstruction at 7 leaves the repaired star state in the snapshot
+  // slot; iteration 7 is re-executed and the failure at 8 must reconstruct
+  // from a snapshot of iteration 8, not from the stale slot.
+  SolveSystem s(poisson2d(10, 10), 8);
+  ResilienceOptions opts = classic_esr();
+  opts.failure = FailureEvent{7, contiguous_ranks(2, 2, 8)};
+  opts.extra_failures.push_back(FailureEvent{8, contiguous_ranks(5, 2, 8)});
+  const PinnedRecord records[] = {
+      {7, 7, 0, 0x1.b9255f91df30cp-14, 3, 21, false, RecoveryRung::reconstruct,
+       2, 2},
+      {8, 8, 0, 0x1.b96a17c17fcc4p-14, 3, 21, false, RecoveryRung::reconstruct,
+       2, 2}};
+  expect_pinned(run(s, opts),
+                {30, 32, 0x1.448f52ce16141p-10, 0xf52a9f22bc8fe458ull,
+                 0x2dbda054feafd05full},
+                records);
+}
+
+TEST(ResilientPcg, ClassicEsrFailureAtAnSdcFlipIterationIsPinned) {
+  // The failure check precedes the SDC injection: the node failure at 6 is
+  // reconstructed from the unflipped state, and the flip lands when
+  // iteration 6 is re-executed — the residual replacement at 9 flags it.
+  SolveSystem s(poisson2d(10, 10), 8);
+  ResilienceOptions opts = classic_esr();
+  opts.residual_replacement = 5;
+  opts.failure = FailureEvent{6, contiguous_ranks(3, 2, 8)};
+  SdcEvent flip;
+  flip.iteration = 6;
+  flip.target = "p";
+  flip.index = 37;
+  flip.bit = 51;
+  opts.sdc_events.push_back(flip);
+  const PinnedRecord records[] = {
+      {6, 6, 0, 0x1.db10f02dc912ap-14, 5, 21, false, RecoveryRung::reconstruct,
+       2, 2}};
+  const ResilientSolveResult res = run(s, opts);
+  expect_pinned(res,
+                {37, 38, 0x1.7e47db403ffd1p-10, 0x97d0101eaf735dedull,
+                 0x9f60f269b317d359ull},
+                records);
+  ASSERT_EQ(res.sdc.size(), 1u);
+  EXPECT_EQ(res.sdc[0].rank, 2);
+  EXPECT_TRUE(res.sdc[0].detected);
+  EXPECT_EQ(res.sdc[0].detected_at, 9);
+  EXPECT_EQ(res.sdc[0].discrepancy, 0x1.02305310bdceep-5);
 }
 
 } // namespace

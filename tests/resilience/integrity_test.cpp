@@ -11,6 +11,7 @@
 #include "api/solve.hpp"
 #include "comm/exchange.hpp"
 #include "common/error.hpp"
+#include "partition/index_set.hpp"
 #include "resilience/checkpoint_store.hpp"
 #include "resilience/engine.hpp"
 #include "sparse/generators.hpp"
@@ -58,6 +59,51 @@ TEST(RedundantCopyIntegrity, DroppedHoldersAreNotCorruption) {
   // A failure legitimately erases holders' lists; later verification
   // against a *different* failed set must not read that as corruption.
   EXPECT_TRUE(copy.verify({}));
+}
+
+/// A capture's seals cover both parts of every holder's values: the ghost
+/// head, copied from the halo buffer while the holder is sealed, and the
+/// augmentation tail, gathered before it. One flipped bit in either, right
+/// after capture, must fail verification — for an ASpMV capture and for a
+/// dissemination alike.
+TEST(RedundantCopyIntegrity, FlipInGhostHeadOrAugmentationTailIsDetected) {
+  const CsrMatrix a = laplace1d(kRows);
+  const BlockRowPartition part(kRows, kNodes);
+  SimCluster cluster(part);
+  const SpmvPlan plan(a, part);
+  const AspmvPlan aug(plan, 2); // phi = 2 > the halo's one copy: tails exist
+  ExchangeEngine engine(a, plan, cluster);
+  Vector values(kRows);
+  for (index_t i = 0; i < kRows; ++i)
+    values[static_cast<std::size_t>(i)] = 0.5 + static_cast<real_t>(i);
+  DistVector p(part, values), y(part);
+
+  for (const bool in_tail : {false, true}) {
+    // corrupt() flips the entry on its lowest-ranked holder: pick the first
+    // entry that holder stores in the wanted part of its values.
+    index_t entry = -1;
+    rank_t holder = -1;
+    for (index_t i = 0; i < kRows && entry < 0; ++i) {
+      const std::vector<rank_t> receivers = aug.receivers_of(i);
+      if (receivers.empty()) continue;
+      if (set_contains(plan.ghosts(receivers.front()), i) != in_tail) {
+        entry = i;
+        holder = receivers.front();
+      }
+    }
+    ASSERT_GE(entry, 0) << "in_tail=" << in_tail;
+    for (const bool disseminated : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "in_tail=" << in_tail
+                                      << " disseminated=" << disseminated);
+      RedundantCopy copy = disseminated ? engine.disseminate(aug, p, 3)
+                                        : engine.aspmv(aug, p, 3, y);
+      ASSERT_TRUE(copy.verify({}));
+      EXPECT_EQ(copy.corrupt(entry, 0), holder);
+      EXPECT_FALSE(copy.verify({}));
+      const std::vector<rank_t> failed{holder};
+      EXPECT_TRUE(copy.verify(failed));
+    }
+  }
 }
 
 TEST(RedundantCopyIntegrity, CorruptReportsMissingEntries) {

@@ -173,9 +173,11 @@ TEST(PlanCacheTest, EvictionKeepsLiveHandlesAlive) {
 }
 
 TEST(PlanCacheTest, UnknownSolverKeyThrows) {
-  EXPECT_THROW(ProblemHandle::content_key(laplace_problem("laplace1d:16"),
-                                          SolverConfig{.solver = "nope"}),
-               Error);
+  SolverConfig config;
+  config.solver = "nope";
+  EXPECT_THROW(
+      ProblemHandle::content_key(laplace_problem("laplace1d:16"), config),
+      Error);
 }
 
 } // namespace

@@ -149,8 +149,9 @@ TEST(SellMatrix, PermutationSortsByDescendingLengthWithinWindows) {
     // Window-local: a slot's row comes from its own sigma window.
     EXPECT_EQ(s / sigma, row / sigma);
     // Descending lengths within the window.
-    if (s % sigma != 0)
+    if (s % sigma != 0) {
       EXPECT_GE(len(perm[static_cast<std::size_t>(s) - 1]), len(row));
+    }
   }
 }
 
